@@ -66,11 +66,15 @@ def edge_coloring_to_text(c: EdgeColoring2) -> str:
 
 
 def edge_coloring_from_text(text: str) -> EdgeColoring2:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    n = int(lines[0])
+    """Parse the text form; ValueError on a missing header or a malformed line."""
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not rows or len(rows[0]) != 1:
+        raise ValueError("expected header line 'n'")
+    n = int(rows[0][0])
     colors = {}
-    for ln in lines[1:]:
-        parts = ln.split()
+    for parts in rows[1:]:
+        if len(parts) not in (3, 5):
+            raise ValueError(f"expected 'u v tag [tail head]', got {' '.join(parts)!r}")
         u, v, tag = int(parts[0]), int(parts[1]), parts[2]
         val = (tag,) if len(parts) == 3 else (tag, int(parts[3]), int(parts[4]))
         colors[(u, v)] = val

@@ -18,6 +18,7 @@ triple coloring flattens to a pair coloring suitable for triangle censuses.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .hypergraph import Hypergraph, complete_oddly_bipartite
@@ -26,7 +27,6 @@ from .permgroup import (
     ColorSet,
     Perm,
     all_perms,
-    apply_to_tuple,
     color_set,
     compose,
     coset_rep,
@@ -36,15 +36,11 @@ from .permgroup import (
     inverse,
     is_even,
     perm_power,
+    reorder_perm,
 )
-from .tightconn import plain_component, tight_components
+from .tightconn import _replacement_neighbors, is_hom_free, tight_components
 
 Edge = tuple[int, ...]
-
-
-def _reorder_perm(base: Edge, target: Edge) -> Perm:
-    """The permutation moving the sorted edge ``base`` onto the ordering ``target``."""
-    return tuple(target.index(v) for v in base)
 
 
 @dataclass
@@ -62,7 +58,7 @@ class OrientedColoring:
         base = tuple(sorted(x))
         if base not in self.assignment:
             raise ValueError(f"{x!r} is not an edge of the colored graph")
-        return self.colors.act(_reorder_perm(base, x), self.assignment[base])
+        return self.colors.act(reorder_perm(base, x), self.assignment[base])
 
 
 def _is_point_stabilizer(cls) -> int | None:
@@ -72,25 +68,14 @@ def _is_point_stabilizer(cls) -> int | None:
         for i in range(cls.r)
         if all(p[i] == i for p in cls.representative)
     ]
-    if len(fixed) == 1 and cls.order == _factorial(cls.r - 1):
+    if len(fixed) == 1 and cls.order == math.factorial(cls.r - 1):
         return fixed[0]
     return None
 
 
-def _factorial(m: int) -> int:
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
-
-
-def _replacement_degree(g: Hypergraph, x: Edge, slot: int) -> int:
-    used = set(x)
-    count = 0
-    for v in range(g.n):
-        if v not in used and g.has_edge(set(x) - {x[slot]} | {v}):
-            count += 1
-    return count
+def _replacement_degree(g: Hypergraph, e: Edge, slot: int) -> int:
+    """Edges other than the sorted edge ``e`` sharing all of it but ``e[slot]``."""
+    return len(g.completions(e[:slot] + e[slot + 1 :])) - 1
 
 
 def build_accordant_coloring(g: Hypergraph, pi: Perm) -> OrientedColoring | None:
@@ -100,7 +85,8 @@ def build_accordant_coloring(g: Hypergraph, pi: Perm) -> OrientedColoring | None
     conjugate of the connection group (point stabilizers first, then class
     order), conjugated so the stabilized slot sits at the component
     representative's highest-replacement-degree slot; each edge then inherits
-    the coset that transports it onto the representative's plain component.
+    the coset that transports it onto the representative's plain component,
+    read off its potential.
     """
     if len(pi) != g.r:
         raise ValueError(f"permutation arity {len(pi)} != {g.r}")
@@ -127,8 +113,7 @@ def build_accordant_coloring(g: Hypergraph, pi: Perm) -> OrientedColoring | None
                 continue
             p = _is_point_stabilizer(cls)
             if p is not None:
-                best = max(_replacement_degree(g, rep, s[p]) for s in sigmas)
-                sigma = min(s for s in sigmas if _replacement_degree(g, rep, s[p]) == best)
+                sigma = min(sigmas, key=lambda s: (-_replacement_degree(g, rep, s[p]), s))
             else:
                 sigma = min(sigmas)
             chosen = (idx, cls, sigma)
@@ -136,15 +121,9 @@ def build_accordant_coloring(g: Hypergraph, pi: Perm) -> OrientedColoring | None
         if chosen is None:
             return None
         idx, cls, sigma = chosen
-        comp_plain = plain_component(g, rep)
-        for support in comp.edge_supports():
-            for tau in all_perms(g.r):
-                if apply_to_tuple(tau, support) in comp_plain:
-                    color = (idx, coset_rep(compose(inverse(tau), sigma), cls.representative))
-                    assignment[support] = color
-                    break
-            else:
-                raise AssertionError("every edge of a class meets the representative's plain component")
+        # the coset of inverse(tau) . sigma is the same for every tau in tc . pe
+        for e, pe in comp.potentials:
+            assignment[e] = (idx, coset_rep(compose(inverse(pe), sigma), cls.representative))
     return OrientedColoring(pi=pi, graph=g, colors=cs, assignment=assignment)
 
 
@@ -162,13 +141,8 @@ def verify_accordant(g: Hypergraph, chi: OrientedColoring) -> bool:
     for e in g.edges:
         for x in itertools.permutations(e):
             cx = chi.color_of(x)
-            for i in range(g.r):
-                rest = set(x) - {x[i]}
-                for v in range(g.n):
-                    if v != x[i] and v not in rest and g.has_edge(rest | {v}):
-                        y = x[:i] + (v,) + x[i + 1 :]
-                        if chi.color_of(y) != cx:
-                            return False
+            if any(chi.color_of(y) != cx for y in _replacement_neighbors(g, x)):
+                return False
     return True
 
 
@@ -178,12 +152,10 @@ def hom_free_iff_colorable_check(g: Hypergraph, k: int) -> tuple[bool, bool]:
     The two booleans are a theorem apart; the verified coloring is also run
     through the accordance checker before success is reported.
     """
-    from .tightconn import is_hom_free
-
     pi = perm_power(cyc(g.r), k)
     chi = build_accordant_coloring(g, pi)
-    if chi is not None:
-        assert verify_accordant(g, chi)
+    if chi is not None and not verify_accordant(g, chi):
+        raise RuntimeError(f"built coloring for residue {k} fails the accordance check")
     return (is_hom_free(g, k), chi is not None)
 
 
@@ -227,7 +199,7 @@ def _face_values(e: Edge, color: Color, cs: ColorSet) -> tuple[FaceValue, ...]:
     for j in range(4):
         t = e[:j] + e[j + 1 :]
         u = t + (e[j],)
-        idx, rho = cs.act(_reorder_perm(e, u), color)
+        idx, rho = cs.act(reorder_perm(e, u), color)
         out.append(_classify_face(u, cs.classes[idx], rho))
     return tuple(out)
 
@@ -255,7 +227,7 @@ def triple_coloring_from_accordant(chi: OrientedColoring) -> TripleColoring4:
     """Project an accordant coloring onto boundary triples.
 
     Accordance makes the value of a triple independent of the covering edge;
-    that consistency is asserted while collecting.
+    that consistency is checked while collecting (RuntimeError otherwise).
     """
     g = chi.graph
     k = next(
@@ -269,8 +241,8 @@ def triple_coloring_from_accordant(chi: OrientedColoring) -> TripleColoring4:
     for e in g.edges:
         for j, value in enumerate(_face_values(e, chi.assignment[e], chi.colors)):
             t = e[:j] + e[j + 1 :]
-            prev = out.assignment.setdefault(t, value)
-            assert prev == value, f"covering edges disagree on face {t}"
+            if out.assignment.setdefault(t, value) != value:
+                raise RuntimeError(f"covering edges disagree on face {t}")
     for t in itertools.combinations(range(g.n), 3):
         out.assignment.setdefault(t, (FREE,))
     return out
@@ -305,12 +277,14 @@ def accordant_from_triple_coloring(
         matches = [c for c in cs.colors if _face_values(e, c, cs) == stored]
         if not matches:
             return None
-        assert len(matches) == 1, f"face values fail to pin the color of {e}"
+        if len(matches) != 1:
+            raise RuntimeError(f"face values fail to pin the color of {e}")
         assignment[e] = matches[0]
     chi = OrientedColoring(
         pi=perm_power(cyc(4), k), graph=g, colors=cs, assignment=assignment
     )
-    assert verify_accordant(g, chi)
+    if not verify_accordant(g, chi):
+        raise RuntimeError("coloring rebuilt from triple values fails the accordance check")
     return chi
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -201,8 +202,9 @@ def brute_force_ex_hom(
     found. ``budget`` caps the pool size for the plain search; ``canonical``
     switches to a level-by-level scan of isomorphism classes instead, capped
     at n <= 8 and always single-process. With ``jobs`` > 1 the plain tree is
-    split on the first two edges and searched in parallel; the merged result
-    is independent of the split.
+    split on the first two edges and searched in parallel by at most one
+    worker per subtree and per CPU; the merged result is independent of the
+    split. Witnesses come sorted by their sorted edge tuples.
 
     Raises BudgetExceededError (carrying a greedy lower bound) when the cap
     is exceeded, ValueError for bad arguments.
@@ -233,14 +235,15 @@ def brute_force_ex_hom(
         )
     width = min(2, len(pool))
     tasks = [(n, r, ks, bits) for bits in itertools.product((0, 1), repeat=width)]
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes=jobs) as workers:
-            outcomes = workers.map(_search_subtree, tasks)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with multiprocessing.Pool(processes=workers) as procs:
+            outcomes = procs.map(_search_subtree, tasks)
     else:
         outcomes = [_search_subtree(t) for t in tasks]
     best = max(b for b, _, _ in outcomes)
     explored = sum(seen for _, _, seen in outcomes)
-    tying = sorted(w for _, ws, _ in outcomes for w in ws if len(w) == best)
+    tying = sorted(tuple(sorted(w)) for _, ws, _ in outcomes for w in ws if len(w) == best)
     witnesses = tuple(Hypergraph(r, n, w) for w in tying)
     return SearchResult(n, r, ks, best, witnesses, explored, False, True)
 
@@ -326,13 +329,8 @@ def _reverse_walk_distances(g: Hypergraph, target) -> dict:
     for window, residue in queue:
         d = dist[(window, residue)]
         head = window[: r - 1]
-        for v in range(g.n):
-            if v in head:
-                continue
-            prev_window = (v,) + head
-            if not g.has_edge(prev_window):
-                continue
-            prev = (prev_window, (residue + 1) % r)
+        for v in g.completions(tuple(sorted(head))):
+            prev = ((v,) + head, (residue + 1) % r)
             if prev not in dist:
                 dist[prev] = d + 1
                 queue.append(prev)
@@ -387,7 +385,8 @@ def delete_to_residue_free(g: Hypergraph, length: int) -> tuple[Hypergraph, int]
     walk residue equal to length mod r: a surviving closed walk could be
     pumped up to stretch exactly ``length`` through the short-connection
     bound. Deletes at most 2r * n^r / length^(1/r) edges; both the residue
-    freeness and the deletion bound are asserted before returning.
+    freeness and the deletion bound are checked before returning
+    (RuntimeError otherwise).
     """
     r = g.r
     if length <= r:
@@ -397,8 +396,11 @@ def delete_to_residue_free(g: Hypergraph, length: int) -> tuple[Hypergraph, int]
     k = length % r
     eps = Fraction(float((r * (2 * r + 1) / (length - k)) ** (1.0 / r)))
     pruned, deleted = prune_low_codegree(g, eps)
-    assert is_hom_free(pruned, k)
-    assert deleted <= 2 * r * g.n**r / length ** (1.0 / r)
+    if not is_hom_free(pruned, k):
+        raise RuntimeError(f"codegree pruning left a residue-{k} homomorphic cycle")
+    # deleted <= 2r n^r / length^(1/r), raised to the r-th power to stay in integers
+    if deleted**r * length > (2 * r * g.n**r) ** r:
+        raise RuntimeError(f"deleted {deleted} edges, above the 2r n^r / length^(1/r) bound")
     return pruned, deleted
 
 
@@ -511,10 +513,10 @@ def refine_triple_set(t: TripleSet, alpha, eps, delta) -> tuple[frozenset[int], 
     degree, then drop every triple using a pair that became poor. Needs
     delta <= min(eps^(1/4), 8 alpha) and n >= 1 / (delta (1 - delta)).
 
-    The returned family satisfies, and this function asserts: the vertex set
-    keeps at least (1 - delta^2) n vertices, every surviving shadow pair has
-    degree at least (alpha - 7 delta) n, and every surviving vertex has
-    shadow degree at least (1 - 4 delta) n.
+    The returned family satisfies, and this function checks (RuntimeError
+    otherwise): the vertex set keeps at least (1 - delta^2) n vertices, every
+    surviving shadow pair has degree at least (alpha - 7 delta) n, and every
+    surviving vertex has shadow degree at least (1 - 4 delta) n.
     """
     alpha = _as_fraction(alpha)
     eps = _as_fraction(eps)
@@ -553,7 +555,8 @@ def refine_triple_set(t: TripleSet, alpha, eps, delta) -> tuple[frozenset[int], 
         (tri for tri in inner if not any(p in poor for p in itertools.combinations(tri, 2))),
     )
 
-    assert len(keep) >= (1 - delta**2) * n
+    if len(keep) < (1 - delta**2) * n:
+        raise RuntimeError(f"kept {len(keep)} vertices, below (1 - delta^2) n")
     final_deg: Counter = Counter()
     final_adj: dict[int, set[int]] = {v: set() for v in keep}
     for x, y, z in refined.triples:
@@ -561,8 +564,10 @@ def refine_triple_set(t: TripleSet, alpha, eps, delta) -> tuple[frozenset[int], 
             final_deg[(u, v)] += 1
             final_adj[u].add(v)
             final_adj[v].add(u)
-    assert all(d >= (alpha - 7 * delta) * n for d in final_deg.values())
-    assert all(len(final_adj[v]) >= (1 - 4 * delta) * n for v in keep)
+    if any(d < (alpha - 7 * delta) * n for d in final_deg.values()):
+        raise RuntimeError("a surviving shadow pair has degree below (alpha - 7 delta) n")
+    if any(len(final_adj[v]) < (1 - 4 * delta) * n for v in keep):
+        raise RuntimeError("a surviving vertex has shadow degree below (1 - 4 delta) n")
     return keep, refined
 
 
@@ -664,5 +669,6 @@ def build_walk_through_T(
     if vertices is None:
         return None
     witness = WalkWitness(vertices=vertices, stretch=total - g.r)
-    assert is_valid_walk(g, witness.vertices)
+    if not is_valid_walk(g, witness.vertices):
+        raise RuntimeError(f"routed sequence {vertices!r} is not a tight walk")
     return witness

@@ -1,8 +1,10 @@
 """Uniform hypergraphs on integer vertices, and the generators used throughout.
 
 Edges are stored as sorted tuples of distinct vertices; a ``Hypergraph`` is an
-immutable value (equal iff same arity, vertex count, and edge set).  The text
-format puts ``r n`` on the first line and one edge of ``r`` vertices per
+immutable value (equal iff same arity, vertex count, and edge set).  Derived
+data (the completion index of its (r-1)-sets and its tight components) is
+built on first use and kept on the instance, so it dies with the graph.  The
+text format puts ``r n`` on the first line and one edge of ``r`` vertices per
 following line; ``#`` starts a comment.
 """
 
@@ -17,7 +19,7 @@ Edge = tuple[int, ...]
 
 
 class Hypergraph:
-    __slots__ = ("r", "n", "edges", "_edge_set")
+    __slots__ = ("r", "n", "edges", "_edge_set", "_completions", "_components")
 
     def __init__(self, r: int, n: int, edges):
         if r < 1:
@@ -36,12 +38,27 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
         object.__setattr__(self, "_edge_set", frozenset(canon))
+        object.__setattr__(self, "_completions", None)
+        object.__setattr__(self, "_components", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")
 
     def has_edge(self, vertices) -> bool:
         return tuple(sorted(vertices)) in self._edge_set
+
+    def completions(self, face) -> tuple[int, ...]:
+        """Vertices completing the sorted (r-1)-tuple ``face`` to an edge, ascending."""
+        index = self._completions
+        if index is None:
+            index = {}
+            # edges are sorted, so each face collects its completions in order
+            for e in self.edges:
+                for i in range(self.r):
+                    index.setdefault(e[:i] + e[i + 1 :], []).append(e[i])
+            index = {face: tuple(ws) for face, ws in index.items()}
+            object.__setattr__(self, "_completions", index)
+        return index.get(face, ())
 
     def vertices(self) -> range:
         return range(self.n)

@@ -54,6 +54,11 @@ def apply_to_tuple(p: Perm, x: tuple) -> tuple:
     return tuple(out)
 
 
+def reorder_perm(base: tuple, target: tuple) -> Perm:
+    """The permutation moving ``base`` onto its reordering ``target``."""
+    return tuple(target.index(v) for v in base)
+
+
 def cyc(r: int) -> Perm:
     """The rotation sending slot i to slot i+1 (mod r)."""
     return tuple((i + 1) % r for i in range(r))
@@ -136,22 +141,30 @@ def all_perms(r: int) -> tuple[Perm, ...]:
 
 
 def closure(perms) -> frozenset[Perm]:
-    """Subgroup generated by ``perms`` (the trivial group if empty)."""
+    """Subgroup generated by ``perms`` (the trivial group if all are the identity).
+
+    Breadth-first over right multiplication by the generators, skipping any
+    already in the group so far: each kept one doubles it, so few are kept.
+    """
     gens = [tuple(p) for p in perms]
     if not gens:
         raise ValueError("need at least one permutation to infer arity")
     members = {identity(len(gens[0]))}
-    frontier = [g for g in gens if g not in members]
-    members.update(frontier)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(members):
-                for c in (compose(a, b), compose(b, a)):
+    kept: list[Perm] = []
+    for g in gens:
+        if g in members:
+            continue
+        kept.append(g)
+        frontier = list(members)
+        while frontier:
+            fresh = []
+            for a in frontier:
+                for s in kept:
+                    c = compose(a, s)
                     if c not in members:
                         members.add(c)
                         fresh.append(c)
-        frontier = fresh
+            frontier = fresh
     return frozenset(members)
 
 

@@ -1,12 +1,22 @@
-"""Tight connectivity of oriented edges and homomorphic-cycle detection.
+"""Tight components, their connection groups, and homomorphic-cycle detection.
 
 An oriented edge is an edge with an ordering of its vertices.  Two oriented
 edges are adjacent when one arises from the other by replacing a single
 vertex (keeping positions); "plain components" are the classes of that walk
-relation.  The coarser relation ~ additionally identifies an oriented edge
-with all its reorderings; each ~ class carries a connection group: the
-permutations whose action on a representative stays inside the
-representative's plain component.
+relation.  The coarser relation ~ also identifies an oriented edge with its
+reorderings, so a ~ class is a component of the graph on unordered edges
+that share r-1 vertices.  Its connection group holds the permutations whose
+action on the representative stays in the representative's plain component.
+
+One depth-first search over that edge graph, read as a gain graph, yields
+both.  Each edge ``e`` gets a potential ``pot[e]`` with
+``apply_to_tuple(pot[e], e)`` in the root's plain component (the root is the
+representative, with the identity); replacing one vertex of that orientation
+gives the potential of a new neighbour.  A step onto an edge that already has
+a potential closes a cycle and yields a Schreier generator; these generate
+the connection group ``tc``, and the orientations of ``e`` in the plain
+component are the coset ``tc . pot[e]`` (Gross & Tucker, Topological Graph
+Theory; Seress, Permutation Group Algorithms).
 
 A tight walk of stretch s appends s vertices to a start window, every
 intermediate width-r window being an edge with distinct vertices.  Closed
@@ -20,11 +30,15 @@ states.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 
-from .hypergraph import Hypergraph
-from .permgroup import Perm, all_perms, apply_to_tuple, cyc, cycle_type, identity, perm_power
+from .hypergraph import Edge, Hypergraph
+from .permgroup import (
+    Perm, apply_to_tuple, closure, compose, cyc, cycle_type, embeds_in, identity, inverse,
+    perm_power, reorder_perm,
+)
 
 Oriented = tuple[int, ...]
 
@@ -40,12 +54,74 @@ def oriented_edges(g: Hypergraph) -> list[Oriented]:
 
 def _replacement_neighbors(g: Hypergraph, x: Oriented):
     """Oriented edges that differ from x in exactly one position."""
-    others = [set(x) - {v} for v in x]
     for i, v in enumerate(x):
-        rest = others[i]
-        for w in range(g.n):
-            if w != v and w not in rest and g.has_edge(rest | {w}):
+        for w in g.completions(tuple(sorted(x[:i] + x[i + 1 :]))):
+            if w != v:
                 yield x[:i] + (w,) + x[i + 1 :]
+
+
+@dataclass(frozen=True)
+class TightComponent:
+    """A ~ class: its edges with their potentials, and its connection group.
+
+    ``potentials`` pairs each sorted edge of the class with a permutation
+    ``p`` such that ``apply_to_tuple(p, edge)`` lies in the plain component
+    of ``representative``, the least edge of the class; pairs are sorted by
+    edge.  ``tc`` is the connection group of the representative.
+    """
+
+    representative: Oriented
+    potentials: tuple[tuple[Edge, Perm], ...]
+    tc: frozenset[Perm]
+
+    @property
+    def size(self) -> int:
+        """Number of oriented edges in the class."""
+        return math.factorial(len(self.representative)) * len(self.potentials)
+
+    def edge_supports(self) -> tuple[Edge, ...]:
+        return tuple(e for e, _ in self.potentials)
+
+
+def _gain_components(g: Hypergraph) -> tuple[TightComponent, ...]:
+    ident = identity(g.r)
+    pot: dict[Edge, Perm] = {}
+    out = []
+    for root in g.edges:
+        if root in pot:
+            continue
+        pot[root] = ident
+        edges = [root]
+        gens = {ident}
+        stack = [root]
+        while stack:
+            e = stack.pop()
+            pe = pot[e]
+            for i, v in enumerate(e):
+                for w in g.completions(e[:i] + e[i + 1 :]):
+                    if w == v:
+                        continue
+                    y = e[:i] + (w,) + e[i + 1 :]
+                    f = tuple(sorted(y))
+                    q = compose(pe, reorder_perm(f, y))
+                    pf = pot.get(f)
+                    if pf is None:
+                        pot[f] = q
+                        edges.append(f)
+                        stack.append(f)
+                    else:
+                        # a closed cycle: its voltage lies in the connection group
+                        gens.add(compose(q, inverse(pf)))
+        potentials = tuple((f, pot[f]) for f in sorted(edges))
+        out.append(TightComponent(root, potentials, closure(gens)))
+    return tuple(out)
+
+
+def tight_components(g: Hypergraph) -> tuple[TightComponent, ...]:
+    """The ~ classes with their connection groups, by representative; kept on ``g``."""
+    if g._components is None:
+        object.__setattr__(g, "_components", _gain_components(g))
+    return g._components
 
 
 def plain_component(g: Hypergraph, x: Oriented) -> frozenset[Oriented]:
@@ -53,94 +129,19 @@ def plain_component(g: Hypergraph, x: Oriented) -> frozenset[Oriented]:
     x = tuple(x)
     if not g.has_edge(x) or len(set(x)) != g.r:
         raise ValueError(f"{x!r} is not an oriented edge")
-    seen = {x}
-    queue = deque([x])
-    while queue:
-        cur = queue.popleft()
-        for nxt in _replacement_neighbors(g, cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+    e = tuple(sorted(x))
+    comp, pe = next((c, p) for c in tight_components(g) for f, p in c.potentials if f == e)
+    # x is the image under u of the orientation of e inside the representative's
+    # plain component, so its own plain component is that component moved by u
+    u = compose(reorder_perm(e, x), inverse(pe))
+    return frozenset(
+        apply_to_tuple(compose(u, compose(h, pf)), f)
+        for f, pf in comp.potentials
+        for h in comp.tc
+    )
 
 
-def tc_group(g: Hypergraph, x: Oriented) -> frozenset[Perm]:
-    """Permutations keeping x inside its own plain component, from one search."""
-    comp = plain_component(g, x)
-    x = tuple(x)
-    return frozenset(p for p in all_perms(g.r) if apply_to_tuple(p, x) in comp)
-
-
-@dataclass(frozen=True)
-class TightComponent:
-    """A ~ class of oriented edges with the connection group of its representative."""
-
-    representative: Oriented
-    members: frozenset[Oriented]
-    tc: frozenset[Perm]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def edge_supports(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted({tuple(sorted(m)) for m in self.members}))
-
-
-def tight_components(g: Hypergraph) -> tuple[TightComponent, ...]:
-    """The ~ classes, each bundled with its connection group, sorted by representative."""
-    comp_of: dict[Oriented, int] = {}
-    comps: list[set[Oriented]] = []
-    for x in oriented_edges(g):
-        if x in comp_of:
-            continue
-        idx = len(comps)
-        seen = {x}
-        comp_of[x] = idx
-        queue = deque([x])
-        while queue:
-            cur = queue.popleft()
-            for nxt in _replacement_neighbors(g, cur):
-                if nxt not in comp_of:
-                    comp_of[nxt] = idx
-                    seen.add(nxt)
-                    queue.append(nxt)
-        comps.append(seen)
-
-    # ~ unions plain components across the orderings of each edge
-    parent = list(range(len(comps)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for e in g.edges:
-        ids = {find(comp_of[p]) for p in itertools.permutations(e)}
-        root = min(ids)
-        for i in ids:
-            parent[i] = root
-
-    grouped: dict[int, set[Oriented]] = {}
-    for idx, members in enumerate(comps):
-        grouped.setdefault(find(idx), set()).update(members)
-
-    out = []
-    for members in grouped.values():
-        rep = min(members)
-        plain = comps[comp_of[rep]]
-        tc = frozenset(
-            p for p in all_perms(g.r) if apply_to_tuple(p, rep) in plain
-        )
-        out.append(
-            TightComponent(representative=rep, members=frozenset(members), tc=tc)
-        )
-    out.sort(key=lambda c: c.representative)
-    return tuple(out)
-
-
-def is_hom_free(g: Hypergraph, k: int, components=None) -> bool:
+def is_hom_free(g: Hypergraph, k: int) -> bool:
     """No homomorphic cycle image with stretch residue ``k`` exists.
 
     Residue 0 means cycles of length divisible by the arity; any edge at all
@@ -151,8 +152,7 @@ def is_hom_free(g: Hypergraph, k: int, components=None) -> bool:
     if k == 0:
         return not g.edges
     target = cycle_type(perm_power(cyc(g.r), k))
-    comps = tight_components(g) if components is None else components
-    for c in comps:
+    for c in tight_components(g):
         if any(cycle_type(p) == target for p in c.tc):
             return False
     return True
@@ -181,7 +181,7 @@ def _closed_walk_search(g: Hypergraph, k: int, want_witness: bool):
 
     best = None
     best_walk = None
-    starts = sorted(x for c in bad for x in c.members)
+    starts = sorted(x for c in bad for e in c.edge_supports() for x in itertools.permutations(e))
     for x in starts:
         goal = (x, k)
         dist = {(x, 0): 0}
@@ -194,14 +194,8 @@ def _closed_walk_search(g: Hypergraph, k: int, want_witness: bool):
                 # nothing deeper can improve the incumbent
                 continue
             window, residue = state
-            rest = set(window[1:])
-            for v in range(g.n):
-                if v in rest:
-                    continue
-                nxt_window = window[1:] + (v,)
-                if not g.has_edge(nxt_window):
-                    continue
-                nxt = (nxt_window, (residue + 1) % r)
+            for v in g.completions(tuple(sorted(window[1:]))):
+                nxt = (window[1:] + (v,), (residue + 1) % r)
                 if nxt not in dist:
                     dist[nxt] = d + 1
                     if want_witness:
@@ -241,14 +235,8 @@ def walk_distances(g: Hypergraph, x: Oriented) -> dict[tuple[Oriented, int], int
     while queue:
         window, residue = state = queue.popleft()
         d = dist[state]
-        rest = set(window[1:])
-        for v in range(g.n):
-            if v in rest:
-                continue
-            nxt_window = window[1:] + (v,)
-            if not g.has_edge(nxt_window):
-                continue
-            nxt = (nxt_window, (residue + 1) % r)
+        for v in g.completions(tuple(sorted(window[1:]))):
+            nxt = (window[1:] + (v,), (residue + 1) % r)
             if nxt not in dist:
                 dist[nxt] = d + 1
                 queue.append(nxt)
@@ -295,8 +283,8 @@ def find_hom_cycle_witness(g: Hypergraph, k: int) -> WalkWitness | None:
         return None
     stretch, walk = found
     witness = WalkWitness(vertices=walk, stretch=stretch)
-    assert witness.stretch == len(witness.vertices) - g.r
-    assert is_valid_closed_walk(g, witness.vertices, k)
+    if witness.stretch != len(walk) - g.r or not is_valid_closed_walk(g, walk, k):
+        raise RuntimeError(f"walk search returned an invalid residue-{k} witness {walk!r}")
     return witness
 
 
@@ -332,25 +320,22 @@ def closed_stretch_upper_bound(g: Hypergraph, k: int):
         return r
     rot = perm_power(cyc(r), k)
     best = None
-    for c in tight_components(g):
-        for x in sorted(c.members):
-            target = apply_to_tuple(rot, x)
-            if target not in c.members:
-                continue
-            dist = {x: 0}
-            queue = deque([x])
-            while queue:
-                cur = queue.popleft()
-                if cur == target:
-                    break
-                for nxt in _replacement_neighbors(g, cur):
-                    if nxt not in dist:
-                        dist[nxt] = dist[cur] + 1
-                        queue.append(nxt)
-            if target in dist:
-                bound = r * dist[target] + k
-                if best is None or bound < best:
-                    best = bound
+    for x in oriented_edges(g):
+        target = apply_to_tuple(rot, x)
+        dist = {x: 0}
+        queue = deque([x])
+        while queue:
+            cur = queue.popleft()
+            if cur == target:
+                break
+            for nxt in _replacement_neighbors(g, cur):
+                if nxt not in dist:
+                    dist[nxt] = dist[cur] + 1
+                    queue.append(nxt)
+        if target in dist:
+            bound = r * dist[target] + k
+            if best is None or bound < best:
+                best = bound
     return best
 
 
@@ -358,8 +343,6 @@ def tc_family_leq(f: Hypergraph, g: Hypergraph) -> bool:
     """Every connection group of ``f`` embeds (up to conjugacy) in one of ``g``."""
     if f.r != g.r:
         raise ValueError(f"arity mismatch {f.r} != {g.r}")
-    from .permgroup import embeds_in
-
     g_groups = [c.tc for c in tight_components(g)]
     for cf in tight_components(f):
         if not any(embeds_in(cf.tc, kg, f.r) for kg in g_groups):

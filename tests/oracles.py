@@ -94,6 +94,63 @@ def o_oriented_edges(edges):
     return out
 
 
+def o_plain_component(edges, n, r, x):
+    """Oriented edges reachable from x by replacing one vertex in place, by BFS."""
+    edge_set = {frozenset(e) for e in edges}
+    x = tuple(x)
+    if frozenset(x) not in edge_set or len(set(x)) != r:
+        raise ValueError("start is not an oriented edge")
+    seen = {x}
+    queue = deque([x])
+    while queue:
+        cur = queue.popleft()
+        for i in range(r):
+            for w in range(n):
+                nxt = cur[:i] + (w,) + cur[i + 1 :]
+                if w not in cur and frozenset(nxt) in edge_set and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return frozenset(seen)
+
+
+def o_tight_components(edges, n, r):
+    """The ~ classes as (representative, size, sorted edges, group), by representative.
+
+    Plain components of all oriented edges are merged across the reorderings
+    of each edge; the group of a class is every permutation keeping its least
+    oriented edge inside that edge's own plain component.
+    """
+    perms = list(itertools.permutations(range(r)))
+    plain = {}
+    for x in sorted(o_oriented_edges(edges)):
+        if x not in plain:
+            comp = o_plain_component(edges, n, r, x)
+            for y in comp:
+                plain[y] = comp
+    classes = []
+    for x in sorted(plain):
+        if any(x in members for members in classes):
+            continue
+        members = set(plain[x])
+        grown = True
+        while grown:
+            grown = False
+            for y in list(members):
+                for p in perms:
+                    z = o_apply(p, y)
+                    if z not in members:
+                        members |= plain[z]
+                        grown = True
+        classes.append(members)
+    out = []
+    for members in classes:
+        rep = min(members)
+        group = frozenset(p for p in perms if o_apply(p, rep) in plain[rep])
+        supports = tuple(sorted({tuple(sorted(y)) for y in members}))
+        out.append((rep, len(members), supports, group))
+    return sorted(out)
+
+
 def o_walk_levels(edges, n, r, start):
     """Level sets of tight-walk continuations from an oriented edge.
 

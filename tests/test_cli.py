@@ -171,6 +171,13 @@ def test_census_goodman_on_purple_tournament(tmp_path):
     run_cli("census", "--input", str(path), "--assert", expect=0)
 
 
+@pytest.mark.parametrize("text", ["", "4\n0 1 green\n0 2\n"])
+def test_census_malformed_input_exits_2(tmp_path, text):
+    path = tmp_path / "bad.ec"
+    path.write_text(text)
+    run_cli("census", "--input", str(path), expect=2)
+
+
 def test_census_needs_exactly_one_source():
     subprocess_args = [sys.executable, "-m", "tighthom.cli", "census"]
     proc = subprocess.run(subprocess_args, capture_output=True, text=True)

@@ -13,7 +13,7 @@ from tighthom.hypergraph import (
     tight_cycle,
     twisted_tight_cycle,
 )
-from tighthom.permgroup import all_perms, cyc, identity, perm_power
+from tighthom.permgroup import all_perms, apply_to_tuple, cyc, identity, perm_power
 
 from strategies import hypergraphs
 
@@ -214,7 +214,7 @@ def test_equivariance_of_derived_colors(g, k):
     for e in g.edges[:4]:
         base = chi.color_of(e)
         for s in all_perms(g.r):
-            assert chi.color_of(col.apply_to_tuple(s, e)) == chi.colors.act(s, base)
+            assert chi.color_of(apply_to_tuple(s, e)) == chi.colors.act(s, base)
 
 
 def test_link_of_odd_bipartite_vertex():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import o_max_hom_free
+from tighthom import extremal
 from tighthom.extremal import (
     BudgetExceededError,
     _canonical_form,
@@ -65,7 +66,10 @@ def test_search_single_edge_domain():
 
 @pytest.mark.parametrize(
     "n,r,ks",
-    [(4, 4, (1,)), (5, 4, (1,)), (5, 4, (1, 3)), (5, 4, (2,)), (4, 3, (1, 2)), (5, 2, (1,))],
+    [
+        (4, 4, (1,)), (5, 4, (1,)), (5, 4, (1, 3)), (5, 4, (2,)), (4, 3, (1, 2)), (5, 2, (1,)),
+        (5, 3, (1,)), (5, 3, (1, 2)),
+    ],
 )
 def test_search_matches_naive_enumeration(n, r, ks):
     best, extremal_sets = o_max_hom_free(n, r, ks)
@@ -85,6 +89,31 @@ def test_search_parallel_split_matches_sequential():
     seq = brute_force_ex_hom(5, 2, {1}, jobs=1)
     par = brute_force_ex_hom(5, 2, {1}, jobs=2)
     assert (seq.max_edges, seq.witnesses, seq.explored) == (par.max_edges, par.witnesses, par.explored)
+
+
+def test_search_caps_workers_at_tasks_and_cpus(monkeypatch):
+    asked = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(extremal.multiprocessing, "Pool", SerialPool)
+    seq = brute_force_ex_hom(5, 2, {1})
+    for cpus, jobs, want in ((64, 100, [4]), (2, 100, [2]), (None, 100, []), (64, 3, [3])):
+        asked.clear()
+        monkeypatch.setattr(extremal.os, "cpu_count", lambda cpus=cpus: cpus)
+        assert brute_force_ex_hom(5, 2, {1}, jobs=jobs) == seq
+        assert asked == want
 
 
 def test_search_budget_error_carries_greedy_bound():

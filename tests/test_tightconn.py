@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,14 @@ from tighthom.hypergraph import (
     complete_oddly_bipartite,
     tight_cycle,
 )
-from tighthom.permgroup import all_perms, apply_to_tuple, cyc, perm_power
+from tighthom.permgroup import all_perms, apply_to_tuple, closure, cyc, perm_power
 
 from oracles import (
     o_graph_odd_closed_walk,
     o_min_closed_stretch,
+    o_plain_component,
     o_reachable_stretches,
+    o_tight_components,
     o_walk_levels,
 )
 from strategies import hypergraphs
@@ -103,14 +106,30 @@ def test_godd_connection_groups():
         assert c.tc == frozenset({(0, 1, 2, 3)})
 
 
-def test_tc_group_matches_components():
+def test_plain_component_rejects_non_edges():
     g = complete_oddly_bipartite(4, 4)
-    for c in tcn.tight_components(g):
-        assert tcn.tc_group(g, c.representative) == c.tc
     with pytest.raises(ValueError):
-        tcn.tc_group(g, (0, 1, 2, 3))  # even first-part intersection
+        tcn.plain_component(g, (0, 1, 2, 3))  # even first-part intersection
     with pytest.raises(ValueError):
-        tcn.tc_group(g, (0, 0, 4, 5))
+        tcn.plain_component(g, (0, 0, 4, 5))
+
+
+@settings(max_examples=50)
+@given(hypergraphs(max_n=7))
+def test_components_match_oracle(g):
+    got = [(c.representative, c.size, c.edge_supports(), c.tc) for c in tcn.tight_components(g)]
+    assert got == o_tight_components(g.edges, g.n, g.r)
+    for e in g.edges:
+        for x in (e, e[::-1]):
+            assert tcn.plain_component(g, x) == o_plain_component(g.edges, g.n, g.r, x)
+
+
+@pytest.mark.parametrize("r,ell", [(4, 9), (4, 10), (5, 12), (6, 14), (7, 9)])
+def test_tight_cycle_is_one_class(r, ell):
+    # walking once around the cycle rotates the window by ell slots
+    (comp,) = tcn.tight_components(tight_cycle(r, ell))
+    assert comp.tc == closure([perm_power(cyc(r), ell)])
+    assert comp.size == math.factorial(r) * ell
 
 
 def test_complete_graph_group_is_everything():
@@ -207,6 +226,12 @@ def test_min_stretch_within_linear_cap():
         for k, want in expected.items():
             if want is not None and g.edges:
                 assert want <= 3 * g.r * len(g.edges), name
+
+
+def test_witness_postcondition_is_checked(monkeypatch):
+    monkeypatch.setattr(tcn, "is_valid_closed_walk", lambda *args, **kwargs: False)
+    with pytest.raises(RuntimeError):
+        tcn.find_hom_cycle_witness(tight_cycle(4, 9), 1)
 
 
 def test_witness_determinism():
