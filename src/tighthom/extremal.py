@@ -322,19 +322,8 @@ def prune_low_codegree(g: Hypergraph, eps) -> tuple[Hypergraph, int]:
 
 def _reverse_walk_distances(g: Hypergraph, target) -> dict:
     """Least stretch of a tight walk into ``target`` from each (window, residue)."""
-    r = g.r
-    start = (tuple(target), 0)
-    dist = {start: 0}
-    queue = [start]
-    for window, residue in queue:
-        d = dist[(window, residue)]
-        head = window[: r - 1]
-        for v in g.completions(tuple(sorted(head))):
-            prev = ((v,) + head, (residue + 1) % r)
-            if prev not in dist:
-                dist[prev] = d + 1
-                queue.append(prev)
-    return dist
+    # a tight walk read backwards is a tight walk
+    return {(y[::-1], m): d for (y, m), d in walk_distances(g, tuple(target)[::-1]).items()}
 
 
 def verify_short_connection_bound(g: Hypergraph, eps) -> bool:
@@ -380,9 +369,9 @@ def delete_to_residue_free(g: Hypergraph, length: int) -> tuple[Hypergraph, int]
     """Remove few edges so no homomorphic cycle image of ``length``'s residue is left.
 
     Requires that ``g`` itself has no homomorphic image of the tight cycle on
-    ``length`` vertices (ValueError otherwise). Codegree pruning at
-    eps = (r(2r+1) / (length - length mod r))^(1/r) then kills every closed
-    walk residue equal to length mod r: a surviving closed walk could be
+    ``length`` vertices (ValueError otherwise). Codegree pruning at the least
+    eps in 2^-32 Z with eps^r >= r(2r+1) / (length - length mod r) kills every
+    closed walk residue equal to length mod r: a surviving closed walk could be
     pumped up to stretch exactly ``length`` through the short-connection
     bound. Deletes at most 2r * n^r / length^(1/r) edges; both the residue
     freeness and the deletion bound are checked before returning
@@ -394,7 +383,13 @@ def delete_to_residue_free(g: Hypergraph, length: int) -> tuple[Hypergraph, int]
     if contains_hom_cycle_of_length(g, length):
         raise ValueError(f"input already contains a homomorphic cycle image of length {length}")
     k = length % r
-    eps = Fraction(float((r * (2 * r + 1) / (length - k)) ** (1.0 / r)))
+    # eps = a / 2^32 for the least a with a^r (length - k) >= r(2r+1) 2^(32r), from
+    # Newton's integer r-th root (descending from above to the floor), rounded up
+    need = -(-(r * (2 * r + 1) << 32 * r) // (length - k))
+    a = 1 << (need.bit_length() // r + 1)
+    while (b := ((r - 1) * a + need // a ** (r - 1)) // r) < a:
+        a = b
+    eps = Fraction(a + (a**r < need), 1 << 32)
     pruned, deleted = prune_low_codegree(g, eps)
     if not is_hom_free(pruned, k):
         raise RuntimeError(f"codegree pruning left a residue-{k} homomorphic cycle")

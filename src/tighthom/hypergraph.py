@@ -2,10 +2,10 @@
 
 Edges are stored as sorted tuples of distinct vertices; a ``Hypergraph`` is an
 immutable value (equal iff same arity, vertex count, and edge set).  Derived
-data (the completion index of its (r-1)-sets and its tight components) is
-built on first use and kept on the instance, so it dies with the graph.  The
-text format puts ``r n`` on the first line and one edge of ``r`` vertices per
-following line; ``#`` starts a comment.
+data (the completion index of its (r-1)-sets, its tight components, its walk
+successor table) is built on first use and kept on the instance, so it dies
+with the graph.  The text format puts ``r n`` on the first line and one edge
+of ``r`` vertices per following line; ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ Edge = tuple[int, ...]
 
 
 class Hypergraph:
-    __slots__ = ("r", "n", "edges", "_edge_set", "_completions", "_components")
+    __slots__ = ("r", "n", "edges", "_edge_set", "_completions", "_components", "_walks")
 
     def __init__(self, r: int, n: int, edges):
         if r < 1:
@@ -38,8 +38,8 @@ class Hypergraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
         object.__setattr__(self, "_edge_set", frozenset(canon))
-        object.__setattr__(self, "_completions", None)
-        object.__setattr__(self, "_components", None)
+        for cache in ("_completions", "_components", "_walks"):
+            object.__setattr__(self, cache, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypergraph is immutable")

@@ -22,16 +22,19 @@ A tight walk of stretch s appends s vertices to a start window, every
 intermediate width-r window being an edge with distinct vertices.  Closed
 walks (first window = last window) of stretch s = k (mod r) are exactly what
 homomorphic images of long cycles with residue k unroll to, so hom-freeness
-for a residue family reduces to connection groups, and shortest
-homomorphic cycles come out of a product search over (window, residue mod r)
-states.
+for a residue family reduces to connection groups.  Walk searches run over
+integer states ``i * r + m`` (window i = the i-th oriented edge in
+lexicographic order, m = stretch mod r) along a successor table kept on the
+graph.  Every rotation of a closed walk is one, so the search from each start
+window enters no earlier window (Johnson, SIAM J. Comput. 4, 1975), and the
+witness is the first walk found from the least start attaining the minimum.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .hypergraph import Edge, Hypergraph
@@ -45,11 +48,7 @@ Oriented = tuple[int, ...]
 
 def oriented_edges(g: Hypergraph) -> list[Oriented]:
     """All orderings of all edges, lexicographically sorted."""
-    out = []
-    for e in g.edges:
-        out.extend(itertools.permutations(e))
-    out.sort()
-    return out
+    return sorted(x for e in g.edges for x in itertools.permutations(e))
 
 
 def _replacement_neighbors(g: Hypergraph, x: Oriented):
@@ -158,66 +157,77 @@ def is_hom_free(g: Hypergraph, k: int) -> bool:
     return True
 
 
-def _closed_walk_search(g: Hypergraph, k: int, want_witness: bool):
-    """Shortest closed tight walk with stretch = k (mod r); BFS per start window.
+def _walk_table(g: Hypergraph) -> tuple[list[Oriented], list[tuple[int, ...]]]:
+    """The windows and, per window, its successors' residue-0 states; kept on ``g``."""
+    if g._walks is None:
+        windows = oriented_edges(g)
+        state = {x: i * g.r for i, x in enumerate(windows)}
+        succ = [tuple(state[x[1:] + (v,)] for v in g.completions(tuple(sorted(x[1:])))) for x in windows]
+        object.__setattr__(g, "_walks", (windows, succ))
+    return g._walks
 
-    States are (window, stretch mod r); distances are true stretches since
-    every transition appends one vertex.
+
+def _walk_bfs(succ, r: int, start: int, floor: int = 0, goal: int = -1, cut=None) -> dict[int, int]:
+    """Parents of the states reached from residue-0 state ``start``, in discovery order.
+
+    Enters no state below ``floor``, ends on discovering ``goal``, and expands
+    no state at depth (that is, stretch) ``cut - 1`` or more.
     """
+    parent = {start: -1}
+    level, depth = [start], 0
+    while level and (cut is None or depth + 1 < cut):
+        depth += 1
+        residue = depth % r
+        nxt = []
+        for s in level:
+            for jr in succ[s // r]:
+                t = jr + residue
+                if t >= floor and t not in parent:
+                    parent[t] = s
+                    if t == goal:
+                        return parent
+                    nxt.append(t)
+        level = nxt
+    return parent
+
+
+def _closed_walk_search(g: Hypergraph, k: int):
+    """Shortest closed tight walk with stretch = k (mod r) as a WalkWitness, or None."""
     r = g.r
     k %= r
     if not g.edges:
         return None
     if k == 0:
         # rotating one oriented edge through itself: x then x again
-        x = g.edges[0]
-        return (r, x + x) if want_witness else r
+        return WalkWitness(vertices=g.edges[0] * 2, stretch=r)
 
-    comps = tight_components(g)
     target = cycle_type(perm_power(cyc(r), k))
-    bad = [c for c in comps if any(cycle_type(p) == target for p in c.tc)]
+    bad = [c for c in tight_components(g) if any(cycle_type(p) == target for p in c.tc)]
     if not bad:
         return None
 
+    windows, succ = _walk_table(g)
+    starts = sorted(
+        bisect_left(windows, x) for c in bad for e, _ in c.potentials for x in itertools.permutations(e)
+    )
     best = None
-    best_walk = None
-    starts = sorted(x for c in bad for e in c.edge_supports() for x in itertools.permutations(e))
-    for x in starts:
-        goal = (x, k)
-        dist = {(x, 0): 0}
-        parent = {}
-        queue = deque([(x, 0)])
-        while queue:
-            state = queue.popleft()
-            d = dist[state]
-            if best is not None and d + 1 >= best:
-                # nothing deeper can improve the incumbent
-                continue
-            window, residue = state
-            for v in g.completions(tuple(sorted(window[1:]))):
-                nxt = (window[1:] + (v,), (residue + 1) % r)
-                if nxt not in dist:
-                    dist[nxt] = d + 1
-                    if want_witness:
-                        parent[nxt] = (state, v)
-                    queue.append(nxt)
-        if goal in dist and (best is None or dist[goal] < best):
-            best = dist[goal]
-            if want_witness:
-                appended = []
-                state = goal
-                while state != (x, 0):
-                    state, v = parent[state]
-                    appended.append(v)
-                best_walk = x + tuple(reversed(appended))
-    if best is None:
-        return None
-    return (best, best_walk) if want_witness else best
+    for i in starts:
+        start = i * r
+        parent = _walk_bfs(succ, r, start, floor=start, goal=start + k, cut=best and best.stretch)
+        s = start + k
+        if s in parent:
+            appended = []
+            while s != start:
+                appended.append(windows[s // r][-1])
+                s = parent[s]
+            best = WalkWitness(vertices=windows[i] + tuple(reversed(appended)), stretch=len(appended))
+    return best
 
 
 def min_closed_stretch(g: Hypergraph, k: int):
     """Least stretch of a closed tight walk with residue ``k``, or None."""
-    return _closed_walk_search(g, k, want_witness=False)
+    found = _closed_walk_search(g, k)
+    return found and found.stretch
 
 
 def walk_distances(g: Hypergraph, x: Oriented) -> dict[tuple[Oriented, int], int]:
@@ -229,18 +239,11 @@ def walk_distances(g: Hypergraph, x: Oriented) -> dict[tuple[Oriented, int], int
     x = tuple(x)
     if not g.has_edge(x) or len(set(x)) != g.r:
         raise ValueError(f"{x!r} is not an oriented edge")
-    r = g.r
-    dist = {(x, 0): 0}
-    queue = deque([(x, 0)])
-    while queue:
-        window, residue = state = queue.popleft()
-        d = dist[state]
-        for v in g.completions(tuple(sorted(window[1:]))):
-            nxt = (window[1:] + (v,), (residue + 1) % r)
-            if nxt not in dist:
-                dist[nxt] = d + 1
-                queue.append(nxt)
-    return dist
+    windows, succ = _walk_table(g)
+    depth, out = {-1: -1}, {}
+    for t, s in _walk_bfs(succ, g.r, bisect_left(windows, x) * g.r).items():
+        depth[t] = out[(windows[t // g.r], t % g.r)] = depth[s] + 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -277,14 +280,17 @@ def is_valid_closed_walk(g: Hypergraph, vertices, k=None) -> bool:
 
 
 def find_hom_cycle_witness(g: Hypergraph, k: int) -> WalkWitness | None:
-    """A shortest closed tight walk of residue ``k`` as an explicit vertex sequence."""
-    found = _closed_walk_search(g, k, want_witness=True)
-    if found is None:
-        return None
-    stretch, walk = found
-    witness = WalkWitness(vertices=walk, stretch=stretch)
-    if witness.stretch != len(walk) - g.r or not is_valid_closed_walk(g, walk, k):
-        raise RuntimeError(f"walk search returned an invalid residue-{k} witness {walk!r}")
+    """A shortest closed tight walk of residue ``k`` as an explicit vertex sequence.
+
+    One search per window of a blocking class, in order, over states
+    ``window * r + residue``, each entering only windows at or after its start:
+    a shortest closed walk rotated to its least window is found there.  The
+    witness is the first walk discovered (successors by ascending appended
+    vertex) from the least start that attains the minimum.
+    """
+    witness = _closed_walk_search(g, k)
+    if witness is not None and not is_valid_closed_walk(g, witness.vertices, k):
+        raise RuntimeError(f"walk search returned an invalid residue-{k} witness {witness.vertices!r}")
     return witness
 
 
@@ -323,9 +329,8 @@ def closed_stretch_upper_bound(g: Hypergraph, k: int):
     for x in oriented_edges(g):
         target = apply_to_tuple(rot, x)
         dist = {x: 0}
-        queue = deque([x])
-        while queue:
-            cur = queue.popleft()
+        queue = [x]
+        for cur in queue:
             if cur == target:
                 break
             for nxt in _replacement_neighbors(g, cur):

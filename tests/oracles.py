@@ -201,9 +201,62 @@ def o_min_closed_stretch(edges, n, r, k):
     return best
 
 
-def o_reachable_stretches(edges, n, r, x, y, cap):
-    """All stretches s <= cap of tight walks from window x to window y."""
-    levels = o_walk_levels(edges, n, r, x)
+def o_closed_walk_witness(edges, n, r, k):
+    """Shortest closed tight walk of residue k as (stretch, vertices), or None.
+
+    One unrestricted breadth-first search over (window, residue) tuples from
+    every oriented edge in lexicographic order, successors by ascending
+    appended vertex; a later start replaces the incumbent only when strictly
+    shorter, so the answer is the first walk found from the least start that
+    attains the minimum.  Residue 0 is the least edge run through twice.
+    """
+    edge_set = {frozenset(e) for e in edges}
+    k %= r
+    if not edges:
+        return None
+    if k == 0:
+        first = min(tuple(sorted(e)) for e in edges)
+        return r, first + first
+    succs = {}
+    for window in o_oriented_edges(edges):
+        tail = window[1:]
+        succs[window] = [v for v in range(n) if v not in tail and frozenset(tail + (v,)) in edge_set]
+    best = None
+    best_walk = None
+    for x in sorted(succs):
+        goal = (x, k)
+        dist = {(x, 0): 0}
+        parent = {}
+        queue = deque([(x, 0)])
+        while queue:
+            state = queue.popleft()
+            d = dist[state]
+            if best is not None and d + 1 >= best:
+                # nothing deeper can improve the incumbent
+                continue
+            window, residue = state
+            for v in succs[window]:
+                nxt = (window[1:] + (v,), (residue + 1) % r)
+                if nxt not in dist:
+                    dist[nxt] = d + 1
+                    parent[nxt] = (state, v)
+                    queue.append(nxt)
+        if goal in dist and (best is None or dist[goal] < best):
+            best = dist[goal]
+            appended = []
+            state = goal
+            while state != (x, 0):
+                state, v = parent[state]
+                appended.append(v)
+            best_walk = x + tuple(reversed(appended))
+    return None if best is None else (best, best_walk)
+
+
+def o_reachable_stretches(levels, r, y, cap):
+    """All stretches s <= cap of tight walks to window y, given the start's levels.
+
+    ``levels`` is ``o_walk_levels(edges, n, r, x)`` for the start window x.
+    """
     out = set()
     for s in range(min(cap, len(levels) - 1) + 1):
         if s < len(levels) and y in levels[s]:

@@ -333,6 +333,21 @@ def test_delete_to_residue_free_preconditions():
         delete_to_residue_free(k55, 100)
 
 
+def test_delete_to_residue_free_eps_is_exact(monkeypatch):
+    # eps must be the least multiple of 2^-32 with eps^r (length - k) >= r(2r+1)
+    chosen = []
+    monkeypatch.setattr(extremal, "prune_low_codegree", lambda g, eps: (chosen.append(eps), (g, 0))[1])
+    for r in (2, 3, 4):
+        for length in [*range(r + 1, 300), 10**6 + 1, 10**12 + 7, 10**30 + 3]:
+            chosen.clear()
+            delete_to_residue_free(Hypergraph(r, r + 1, []), length)
+            (eps,) = chosen
+            rest = length - length % r
+            assert (eps * 2**32).denominator == 1
+            assert eps**r * rest >= r * (2 * r + 1), (r, length)
+            assert (eps - Fraction(1, 2**32)) ** r * rest < r * (2 * r + 1), (r, length)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_delete_to_residue_free_random_subgraphs(seed):
     rng = random.Random(seed)

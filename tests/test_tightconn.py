@@ -15,6 +15,7 @@ from tighthom.hypergraph import (
 from tighthom.permgroup import all_perms, apply_to_tuple, closure, cyc, perm_power
 
 from oracles import (
+    o_closed_walk_witness,
     o_graph_odd_closed_walk,
     o_min_closed_stretch,
     o_plain_component,
@@ -30,6 +31,8 @@ def complete_graph(n, r):
 
 
 # Frozen against the level-set oracle in oracles.py (residue -> least stretch).
+# C9_7 is frozen against the witness oracle; the blow-up of C5_4 has C5_4's
+# minima, since it contains C5_4 and maps onto it.
 MIN_STRETCH = {
     "C9_4": (tight_cycle(4, 9), {0: 4, 1: 9, 2: 18, 3: 27}),
     "C7_3": (tight_cycle(3, 7), {0: 3, 1: 7, 2: 14}),
@@ -39,6 +42,8 @@ MIN_STRETCH = {
     "C6_2": (tight_cycle(2, 6), {0: 2, 1: None}),
     "godd33": (complete_oddly_bipartite(3, 3), {0: 4, 1: None, 2: None, 3: None}),
     "godd44": (complete_oddly_bipartite(4, 4), {0: 4, 1: None, 2: None, 3: None}),
+    "C9_7": (tight_cycle(7, 9), {0: 7, 1: 36, 2: 9, 3: 45, 4: 18, 5: 54, 6: 27}),
+    "C5_4x2": (blowup(tight_cycle(4, 5), 2), {0: 4, 1: 5, 2: 10, 3: 15}),
 }
 
 
@@ -181,6 +186,24 @@ def test_min_stretch_matches_oracle(g):
         )
 
 
+def assert_witnesses_match_oracle(g):
+    for k in range(g.r):
+        w = tcn.find_hom_cycle_witness(g, k)
+        got = None if w is None else (w.stretch, w.vertices)
+        assert got == o_closed_walk_witness(g.edges, g.n, g.r, k), k
+
+
+@settings(max_examples=40)
+@given(hypergraphs(max_n=6))
+def test_witnesses_match_oracle(g):
+    assert_witnesses_match_oracle(g)
+
+
+@pytest.mark.parametrize("r,ell", [(4, 5), (4, 9), (4, 13), (5, 12), (6, 14), (7, 9)])
+def test_tight_cycle_witnesses_match_oracle(r, ell):
+    assert_witnesses_match_oracle(tight_cycle(r, ell))
+
+
 @settings(max_examples=60)
 @given(hypergraphs(r_values=(2,), min_n=2, max_n=7))
 def test_graph_case_is_bipartiteness(g):
@@ -215,7 +238,7 @@ def test_walk_distances_match_level_sets_and_rotation_criterion(g):
                 reached = (y, m) in dist
                 oracle = any(
                     s % g.r == m
-                    for s in o_reachable_stretches(g.edges, g.n, g.r, x, y, cap)
+                    for s in o_reachable_stretches(levels, g.r, y, cap)
                 )
                 criterion = apply_to_tuple(perm_power(cyc(g.r), m), y) in comp
                 assert reached == oracle == criterion
