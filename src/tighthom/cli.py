@@ -186,17 +186,17 @@ def _cmd_tc(args):
     lines = []
     records = []
     for comp in tcn.tight_components(g):
-        gens = ", ".join(pg.format_perm(p) for p in sorted(pg.minimal_generators(comp.tc)))
+        gens = [pg.format_perm(p) for p in sorted(pg.minimal_generators(comp.tc))]
         lines.append(
             f"component rep={' '.join(map(str, comp.representative))} "
-            f"size={comp.size} group_order={len(comp.tc)} generators=[{gens}]"
+            f"size={comp.size} group_order={len(comp.tc)} generators=[{', '.join(gens)}]"
         )
         records.append(
             {
                 "representative": list(comp.representative),
                 "size": comp.size,
                 "group_order": len(comp.tc),
-                "generators": [pg.format_perm(p) for p in sorted(pg.minimal_generators(comp.tc))],
+                "generators": gens,
             }
         )
     return lines, records, False

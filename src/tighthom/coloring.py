@@ -26,9 +26,9 @@ from .permgroup import (
     Color,
     ColorSet,
     Perm,
-    all_perms,
     color_set,
     compose,
+    conjugators,
     coset_rep,
     cyc,
     cycle_type,
@@ -101,14 +101,7 @@ def build_accordant_coloring(g: Hypergraph, pi: Perm) -> OrientedColoring | None
         chosen = None
         for idx in ranked:
             cls = cs.classes[idx]
-            members = cls.elements
-            sigmas = [
-                s
-                for s in all_perms(g.r)
-                if all(
-                    compose(inverse(s), compose(t, s)) in members for t in comp.tc
-                )
-            ]
+            sigmas = [inverse(s) for s in conjugators(comp.tc, cls.representative, g.r)]
             if not sigmas:
                 continue
             p = _is_point_stabilizer(cls)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hypergraph import Hypergraph, TripleSet, shadow, triple_set
+from .permgroup import MAX_ARITY
 from .tightconn import (
     WalkWitness,
     contains_hom_cycle_of_length,
@@ -207,10 +208,13 @@ def brute_force_ex_hom(
     split. Witnesses come sorted by their sorted edge tuples.
 
     Raises BudgetExceededError (carrying a greedy lower bound) when the cap
-    is exceeded, ValueError for bad arguments.
+    is exceeded, ValueError for bad arguments or an arity above MAX_ARITY
+    (every candidate closes a connection group inside S_r), before any work.
     """
     if n < 0 or r < 1:
         raise ValueError(f"bad search domain n={n}, r={r}")
+    if r > MAX_ARITY:
+        raise ValueError(f"search arity {r} exceeds {MAX_ARITY}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     ks = frozenset(k % r for k in residues)

@@ -11,6 +11,15 @@ sorted element tuple is lexicographically least), a deterministic position in
 the class list (sorted by order, then by that tuple), and a stable name.
 Classes found in no table get the fallback name ``order-k-#j``.
 
+Every subgroup is closed by one kernel, ``_close``: a breadth-first closure
+from the identity over a list of generators that skips a generator already
+in the group and stops once the group holds more than half of S_r (Seress,
+Permutation Group Algorithms).  ``closure`` acts on tuples by right
+multiplication; the enumeration acts on indices into ``all_perms(r)`` by left
+multiplication along a table, and each class it finds carries the
+generators it was built from, conjugated onto its representative, so joining
+a class with a cyclic seed closes those generators plus the seed's.
+
 A "color set" for a permutation ``pi`` is the disjoint union of the left
 coset spaces of the maximal ``pi``-avoiding classes; colors are the atoms
 that edge colorings elsewhere in this package take values in.
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -140,32 +150,47 @@ def all_perms(r: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(r)))
 
 
-def closure(perms) -> frozenset[Perm]:
-    """Subgroup generated by ``perms`` (the trivial group if all are the identity).
+def _close(ident, gens, act, full_size: int):
+    """The group ``gens`` generate, breadth-first from ``ident``; None if it is all of S_r.
 
-    Breadth-first over right multiplication by the generators, skipping any
-    already in the group so far: each kept one doubles it, so few are kept.
+    ``act(g)`` is multiplication by the generator ``g``.  A generator already
+    in the group so far is skipped and every step uses only the kept ones, so
+    few are kept.  A subgroup with more than half of the ``full_size``
+    elements of S_r is S_r itself (Lagrange), so the loop stops there.
     """
-    gens = [tuple(p) for p in perms]
-    if not gens:
-        raise ValueError("need at least one permutation to infer arity")
-    members = {identity(len(gens[0]))}
-    kept: list[Perm] = []
+    members = {ident}
+    kept = []
     for g in gens:
         if g in members:
             continue
-        kept.append(g)
+        kept.append(act(g))
         frontier = list(members)
         while frontier:
             fresh = []
             for a in frontier:
                 for s in kept:
-                    c = compose(a, s)
+                    c = s(a)
                     if c not in members:
                         members.add(c)
                         fresh.append(c)
+            if 2 * len(members) > full_size:
+                return None
             frontier = fresh
-    return frozenset(members)
+    return members
+
+
+def closure(perms) -> frozenset[Perm]:
+    """Subgroup generated by ``perms`` (the trivial group if all are the identity).
+
+    Right multiplication by a tuple ``g`` is ``itemgetter(*g)``; arity 1 has
+    only the identity, which the kernel skips before acting with it.
+    """
+    gens = [tuple(p) for p in perms]
+    if not gens:
+        raise ValueError("need at least one permutation to infer arity")
+    r = len(gens[0])
+    members = _close(identity(r), gens, lambda g: operator.itemgetter(*g), math.factorial(r))
+    return frozenset(itertools.permutations(range(r)) if members is None else members)
 
 
 def conjugate_group(group, s: Perm) -> frozenset[Perm]:
@@ -224,37 +249,6 @@ def _index_tables(r: int):
     return index, mul, inv
 
 
-def _close_indices(seed, mul, full_size: int) -> frozenset[int]:
-    """Close a set of permutation indices under the multiplication table.
-
-    A proper subgroup has order at most full_size/2, so any closure that
-    grows past that is the whole group.
-    """
-    members = set(seed)
-    worklist = list(members)
-    half = full_size // 2
-    i = 0
-    while i < len(worklist):
-        a = worklist[i]
-        i += 1
-        row = mul[a]
-        j = 0
-        while j < len(worklist):
-            b = worklist[j]
-            j += 1
-            c = row[b]
-            if c not in members:
-                members.add(c)
-                worklist.append(c)
-            c = mul[b][a]
-            if c not in members:
-                members.add(c)
-                worklist.append(c)
-        if len(members) > half:
-            return frozenset(range(full_size))
-    return frozenset(members)
-
-
 def _class_name(r: int, canonical: tuple[Perm, ...], class_size: int) -> str | None:
     order = len(canonical)
     if order == 1:
@@ -282,24 +276,24 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
     """All subgroup conjugacy classes of the slot permutations, deterministically ordered.
 
     Seeds with cyclic subgroups and repeatedly joins class representatives with
-    the seeds, closing under composition, until no new class appears; classes
-    are deduped by conjugation orbit.
+    the seeds until no new class appears; classes are deduped by conjugation
+    orbit.  Each class keeps the generators it was built from, conjugated onto
+    its representative, so a join closes those plus the seed's generator.
     """
     _check_arity(r)
     perms = all_perms(r)
     index, mul, inv = _index_tables(r)
     id_idx = index[identity(r)]
-
     full = len(perms)
-    seeds = []
-    seen_seeds = set()
+
+    def close(gens) -> frozenset[int]:
+        members = _close(id_idx, gens, lambda g: mul[g].__getitem__, full)
+        return frozenset(range(full)) if members is None else frozenset(members)
+
+    seeds: dict[frozenset[int], int] = {}
     for g in range(full):
-        if g == id_idx:
-            continue
-        s = _close_indices({id_idx, g}, mul, full)
-        if s not in seen_seeds:
-            seen_seeds.add(s)
-            seeds.append(s)
+        if g != id_idx:
+            seeds.setdefault(close([g]), g)
 
     def conj(group, s: int) -> frozenset[int]:
         s_inv = inv[s]
@@ -308,31 +302,35 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
 
     seen: set[frozenset[int]] = set()
     found: list[tuple[frozenset[int], int]] = []
-    queue: list[frozenset[int]] = []
+    queue: list[tuple[frozenset[int], list[int]]] = []
 
-    def register(group: frozenset[int]) -> None:
+    def register(group: frozenset[int], gens: list[int]) -> None:
         if group in seen:
             return
-        orbit = {conj(group, s) for s in range(full)}
+        orbit: dict[frozenset[int], int] = {}
+        for s in range(full):
+            orbit.setdefault(conj(group, s), s)
         seen.update(orbit)
         canonical = min(orbit, key=lambda g: tuple(sorted(perms[i] for i in g)))
+        s = orbit[canonical]
         found.append((canonical, len(orbit)))
-        queue.append(canonical)
+        queue.append((canonical, [mul[mul[s][h]][inv[s]] for h in gens]))
 
-    register(frozenset({id_idx}))
+    register(frozenset({id_idx}), [])
     while queue:
-        rep = queue.pop()
+        rep, gens = queue.pop()
         # Joining with a seed conjugated by the normalizer of rep lands in the
         # conjugacy class of the un-conjugated join, so one seed per
         # normalizer-orbit suffices.
         normalizer = [s for s in range(full) if conj(rep, s) == rep]
         skip: set[frozenset[int]] = set()
-        for seed in seeds:
+        for seed, g in seeds.items():
             if seed <= rep or seed in skip:
                 continue
             if len(normalizer) > 1:
                 skip.update(conj(seed, s) for s in normalizer)
-            register(_close_indices(rep | seed, mul, full))
+            joined = gens + [g]
+            register(close(joined), joined)
 
     raw = sorted(
         ((tuple(sorted(perms[i] for i in grp)), size) for grp, size in found),
@@ -358,15 +356,23 @@ def avoids(group, pi: Perm) -> bool:
     return all(cycle_type(h) != target for h in members)
 
 
-def embeds_in(small, big, r: int) -> bool:
-    """True iff some conjugate of ``small`` is contained in ``big``."""
+def conjugators(small, big, r: int):
+    """Every ``s``, in ``all_perms`` order, with ``s . small . s^-1`` inside ``big``.
+
+    None exist unless ``|small|`` divides ``|big|`` (Lagrange), checked first.
+    """
     big_set = frozenset(big)
     if len(big_set) % len(frozenset(small)) != 0:
-        return False
+        return
     for s in all_perms(r):
-        if all(compose(s, compose(h, inverse(s))) in big_set for h in small):
-            return True
-    return False
+        s_inv = inverse(s)
+        if all(compose(s, compose(h, s_inv)) in big_set for h in small):
+            yield s
+
+
+def embeds_in(small, big, r: int) -> bool:
+    """True iff some conjugate of ``small`` is contained in ``big``."""
+    return next(conjugators(small, big, r), None) is not None
 
 
 def maximal_avoiding_classes(r: int, pi: Perm) -> tuple[SubgroupClass, ...]:
@@ -412,6 +418,7 @@ class ColorSet:
         return (idx, coset_rep(compose(s, rep), self.classes[idx].representative))
 
 
+@lru_cache(maxsize=None)
 def color_set(r: int, pi: Perm) -> ColorSet:
     classes = maximal_avoiding_classes(r, pi)
     colors = []

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 from .hypergraph import Edge, Hypergraph
 from .permgroup import (
-    Perm, apply_to_tuple, closure, compose, cyc, cycle_type, embeds_in, identity, inverse,
-    perm_power, reorder_perm,
+    Perm, apply_to_tuple, avoids, closure, compose, cyc, embeds_in, identity, inverse, perm_power,
+    reorder_perm,
 )
 
 Oriented = tuple[int, ...]
@@ -150,11 +150,8 @@ def is_hom_free(g: Hypergraph, k: int) -> bool:
     k %= g.r
     if k == 0:
         return not g.edges
-    target = cycle_type(perm_power(cyc(g.r), k))
-    for c in tight_components(g):
-        if any(cycle_type(p) == target for p in c.tc):
-            return False
-    return True
+    pi = perm_power(cyc(g.r), k)
+    return all(avoids(c.tc, pi) for c in tight_components(g))
 
 
 def _walk_table(g: Hypergraph) -> tuple[list[Oriented], list[tuple[int, ...]]]:
@@ -201,8 +198,8 @@ def _closed_walk_search(g: Hypergraph, k: int):
         # rotating one oriented edge through itself: x then x again
         return WalkWitness(vertices=g.edges[0] * 2, stretch=r)
 
-    target = cycle_type(perm_power(cyc(r), k))
-    bad = [c for c in tight_components(g) if any(cycle_type(p) == target for p in c.tc)]
+    pi = perm_power(cyc(r), k)
+    bad = [c for c in tight_components(g) if not avoids(c.tc, pi)]
     if not bad:
         return None
 
@@ -308,40 +305,6 @@ def contains_hom_cycle_of_length(g: Hypergraph, length: int) -> bool:
         raise ValueError(f"cycle length {length} must exceed arity {g.r}")
     m = min_closed_stretch(g, length % g.r)
     return m is not None and m <= length
-
-
-def closed_stretch_upper_bound(g: Hypergraph, k: int):
-    """Upper bound on min_closed_stretch via replacement walks.
-
-    A replacement path from x to the k-rotation of x with d steps yields a
-    closed tight walk of stretch r*d + k: consecutive windows of the path
-    concatenate, and k extra vertices unwind the rotation.  Finite iff
-    min_closed_stretch is.
-    """
-    r = g.r
-    k %= r
-    if not g.edges:
-        return None
-    if k == 0:
-        return r
-    rot = perm_power(cyc(r), k)
-    best = None
-    for x in oriented_edges(g):
-        target = apply_to_tuple(rot, x)
-        dist = {x: 0}
-        queue = [x]
-        for cur in queue:
-            if cur == target:
-                break
-            for nxt in _replacement_neighbors(g, cur):
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
-        if target in dist:
-            bound = r * dist[target] + k
-            if best is None or bound < best:
-                best = bound
-    return best
 
 
 def tc_family_leq(f: Hypergraph, g: Hypergraph) -> bool:

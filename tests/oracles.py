@@ -201,6 +201,38 @@ def o_min_closed_stretch(edges, n, r, k):
     return best
 
 
+def o_closed_stretch_upper_bound(edges, n, r, k):
+    """Upper bound on the least closed stretch of residue k via replacement paths, or None.
+
+    A path of d single-vertex replacements from x to its k-fold right
+    rotation yields a closed tight walk of stretch r*d + k: consecutive
+    windows of the path concatenate, and k extra vertices unwind the
+    rotation.  Minimized over every oriented edge x by breadth-first search.
+    """
+    k %= r
+    if not edges:
+        return None
+    if k == 0:
+        return r
+    edge_set = {frozenset(e) for e in edges}
+    best = None
+    for x in o_oriented_edges(edges):
+        target = x[-k:] + x[:-k]
+        dist = {x: 0}
+        queue = deque([x])
+        while queue and target not in dist:
+            cur = queue.popleft()
+            for i in range(r):
+                for w in range(n):
+                    nxt = cur[:i] + (w,) + cur[i + 1 :]
+                    if w not in cur and frozenset(nxt) in edge_set and nxt not in dist:
+                        dist[nxt] = dist[cur] + 1
+                        queue.append(nxt)
+        if target in dist and (best is None or r * dist[target] + k < best):
+            best = r * dist[target] + k
+    return best
+
+
 def o_closed_walk_witness(edges, n, r, k):
     """Shortest closed tight walk of residue k as (stretch, vertices), or None.
 

@@ -230,6 +230,19 @@ def test_search_golden_and_budget():
     assert "exceeds budget" in proc.stderr
 
 
+def test_search_refuses_arity_above_max():
+    # every candidate would close a connection group inside S_9; the full
+    # search at this size takes tens of seconds and about 100 MB
+    proc = subprocess.run(
+        [sys.executable, "-m", "tighthom.cli", "search", "--n", "10", "--r", "9"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "arity 9" in proc.stderr
+
+
 def test_search_records_roundtrip():
     out = run_cli("search", "--n", "5", "--r", "4", "--k", "1", "--format", "records")
     lines = out.splitlines()

@@ -164,6 +164,8 @@ def test_search_rejects_bad_arguments():
         brute_force_ex_hom(5, 2, set())
     with pytest.raises(ValueError):
         brute_force_ex_hom(-1, 2, {1})
+    with pytest.raises(ValueError, match="arity 7"):
+        brute_force_ex_hom(7, 7, {1}, canonical=True)
 
 
 def test_canonical_form_is_relabeling_invariant():

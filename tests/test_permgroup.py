@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 from tighthom import permgroup as pg
 
-from oracles import brute_force_subgroups, bucket_by_conjugacy, o_apply, o_compose
+from oracles import (
+    brute_force_subgroups,
+    bucket_by_conjugacy,
+    o_apply,
+    o_closure,
+    o_compose,
+    o_inverse,
+)
 
 # The eleven subgroup classes at arity 4 in deterministic order:
 # (name, order, class size, avoids 4-rotation, avoids squared rotation).
@@ -43,7 +51,34 @@ CANONICAL_REPS = {
 CLASS_COUNTS = {2: 2, 3: 4, 4: 11, 5: 19, 6: 56}
 SUBGROUP_TOTALS = {2: 2, 3: 6, 4: 30, 5: 156, 6: 1455}
 
+# sha256 of repr([(representative, class_size, name), ...]) over the full class
+# list: representatives and names reach coset colors and CLI output, so any
+# change to either must show here.
+ENUMERATION_DIGESTS = {
+    5: "fd2444bc1edc5cce07795fd406a21eeee895b06ec0bd31550d80720295e4cfff",
+    6: "2aa1cd476703c9c032b34a15eaed15d717d67221c839e3aacf73170ec56f0ba5",
+}
+
 perms4 = st.sampled_from(pg.all_perms(4))
+
+
+@st.composite
+def generator_lists(draw):
+    r = draw(st.integers(min_value=2, max_value=5))
+    perm = st.permutations(list(range(r))).map(tuple)
+    return draw(st.lists(perm, min_size=1, max_size=4))
+
+
+@given(generator_lists())
+def test_closure_matches_oracle(gens):
+    assert pg.closure(gens) == o_closure(gens)
+
+
+def test_closure_fixed_cases():
+    # <(1 2), cyc> is the whole group, reached through the half-order shortcut
+    assert pg.closure([pg.parse_perm("(1 2)", 6), pg.cyc(6)]) == frozenset(pg.all_perms(6))
+    assert pg.closure([pg.cyc(7)]) == frozenset(pg.perm_power(pg.cyc(7), e) for e in range(7))
+    assert pg.closure([pg.identity(1)]) == {(0,)}
 
 
 def test_identity_compose_inverse():
@@ -132,6 +167,13 @@ def test_class_counts_match_literature():
         classes = pg.enumerate_subgroup_classes(r)
         assert len(classes) == count
         assert sum(c.class_size for c in classes) == SUBGROUP_TOTALS[r]
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_enumeration_is_pinned(r):
+    classes = pg.enumerate_subgroup_classes(r)
+    text = repr([(c.representative, c.class_size, c.name) for c in classes])
+    assert hashlib.sha256(text.encode()).hexdigest() == ENUMERATION_DIGESTS[r]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -251,6 +293,25 @@ def test_embeds_in():
     assert not pg.embeds_in(
         classes["A3"].representative, classes["Klein-nonnormal"].representative, 4
     )
+
+
+def test_conjugators_match_definition():
+    classes = pg.enumerate_subgroup_classes(4)
+    for small in classes:
+        for big in classes:
+            members = set(big.representative)
+            want = [
+                s
+                for s in itertools.permutations(range(4))
+                if all(o_compose(s, o_compose(h, o_inverse(s))) in members for h in small.representative)
+            ]
+            got = list(pg.conjugators(small.representative, big.representative, 4))
+            assert got == want
+            assert pg.embeds_in(small.representative, big.representative, 4) == bool(want)
+
+
+def test_color_set_is_shared():
+    assert pg.color_set(4, pg.cyc(4)) is pg.color_set(4, pg.cyc(4))
 
 
 def test_class_by_name():

@@ -15,6 +15,7 @@ from tighthom.hypergraph import (
 from tighthom.permgroup import all_perms, apply_to_tuple, closure, cyc, perm_power
 
 from oracles import (
+    o_closed_stretch_upper_bound,
     o_closed_walk_witness,
     o_graph_odd_closed_walk,
     o_min_closed_stretch,
@@ -215,7 +216,7 @@ def test_graph_case_is_bipartiteness(g):
 def test_upper_bound_brackets_minimum(g):
     for k in range(g.r):
         lo = tcn.min_closed_stretch(g, k)
-        hi = tcn.closed_stretch_upper_bound(g, k)
+        hi = o_closed_stretch_upper_bound(g.edges, g.n, g.r, k)
         assert (lo is None) == (hi is None)
         if lo is not None:
             assert lo <= hi
