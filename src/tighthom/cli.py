@@ -57,11 +57,8 @@ def _load_graph(path: str) -> hg.Hypergraph:
         return hg.from_text(fh.read())
 
 
-def _load_triples(source: str, n: int) -> hg.TripleSet:
-    if source == "all":
-        return hg.all_triples(n)
-    with open(source, encoding="utf-8") as fh:
-        return hg.triples_from_text(fh.read())
+def _load_triples(source: str, n: int) -> hg.Hypergraph:
+    return hg.all_triples(n) if source == "all" else _load_graph(source)
 
 
 def _fmt_color(color) -> str:

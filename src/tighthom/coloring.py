@@ -29,7 +29,6 @@ from .permgroup import (
     color_set,
     compose,
     conjugators,
-    coset_rep,
     cyc,
     cycle_type,
     identity,
@@ -109,14 +108,14 @@ def build_accordant_coloring(g: Hypergraph, pi: Perm) -> OrientedColoring | None
                 sigma = min(sigmas, key=lambda s: (-_replacement_degree(g, rep, s[p]), s))
             else:
                 sigma = min(sigmas)
-            chosen = (idx, cls, sigma)
+            chosen = (idx, sigma)
             break
         if chosen is None:
             return None
-        idx, cls, sigma = chosen
+        idx, sigma = chosen
         # the coset of inverse(tau) . sigma is the same for every tau in tc . pe
         for e, pe in comp.potentials:
-            assignment[e] = (idx, coset_rep(compose(inverse(pe), sigma), cls.representative))
+            assignment[e] = cs.color(idx, compose(inverse(pe), sigma))
     return OrientedColoring(pi=pi, graph=g, colors=cs, assignment=assignment)
 
 
@@ -241,17 +240,21 @@ def triple_coloring_from_accordant(chi: OrientedColoring) -> TripleColoring4:
     return out
 
 
+def _face_matches(g: Hypergraph, tc4: TripleColoring4, cs: ColorSet):
+    """Per edge of ``g``, the colors whose face values are the stored ones.
+
+    No face value is ever free, so an edge with a free face matches nothing.
+    """
+    for e in g.edges:
+        stored = tuple(tc4.value(e[:j] + e[j + 1 :]) for j in range(4))
+        yield e, [c for c in cs.colors if _face_values(e, c, cs) == stored]
+
+
 def verify_boundary_patterns(g: Hypergraph, tc4: TripleColoring4, k: int) -> bool:
     """Does some color of cyc^k induce exactly the stored values on each edge's faces?"""
     _check_triple_residue(g, k)
     cs = color_set(4, perm_power(cyc(4), k))
-    for e in g.edges:
-        stored = tuple(tc4.value(e[:j] + e[j + 1 :]) for j in range(4))
-        if any(v == (FREE,) for v in stored):
-            return False
-        if not any(_face_values(e, c, cs) == stored for c in cs.colors):
-            return False
-    return True
+    return all(matches for _, matches in _face_matches(g, tc4, cs))
 
 
 def accordant_from_triple_coloring(
@@ -265,9 +268,7 @@ def accordant_from_triple_coloring(
     _check_triple_residue(g, k)
     cs = color_set(4, perm_power(cyc(4), k))
     assignment: dict[Edge, Color] = {}
-    for e in g.edges:
-        stored = tuple(tc4.value(e[:j] + e[j + 1 :]) for j in range(4))
-        matches = [c for c in cs.colors if _face_values(e, c, cs) == stored]
+    for e, matches in _face_matches(g, tc4, cs):
         if not matches:
             return None
         if len(matches) != 1:
@@ -369,10 +370,9 @@ def godd_canonical_coloring(a: int, b: int) -> OrientedColoring:
     g = complete_oddly_bipartite(a, b)
     cs = color_set(4, cyc(4))
     s3_idx = next(i for i, c in enumerate(cs.classes) if c.name == "S3")
-    stab0 = cs.classes[s3_idx].representative
     assignment: dict[Edge, Color] = {}
     for e in g.edges:
         in_a = sum(1 for v in e if v < a)
         sigma = identity(4) if in_a == 1 else (3, 0, 1, 2)
-        assignment[e] = (s3_idx, coset_rep(sigma, stab0))
+        assignment[e] = cs.color(s3_idx, sigma)
     return OrientedColoring(pi=cyc(4), graph=g, colors=cs, assignment=assignment)

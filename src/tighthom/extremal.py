@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hypergraph import Hypergraph, TripleSet, shadow, triple_set
+from .hypergraph import Hypergraph, shadow
 from .permgroup import MAX_ARITY
 from .tightconn import (
     WalkWitness,
@@ -304,24 +304,17 @@ def prune_low_codegree(g: Hypergraph, eps) -> tuple[Hypergraph, int]:
     eps = _as_fraction(eps)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    live = set(g.edges)
     threshold = eps * g.n
     deleted = 0
     while True:
-        codeg: Counter = Counter()
-        for e in live:
-            for sub in itertools.combinations(e, g.r - 1):
-                codeg[sub] += 1
-        weak = {sub for sub, d in codeg.items() if d <= threshold}
-        if not weak:
-            break
         doomed = {
-            e for e in live
-            if any(sub in weak for sub in itertools.combinations(e, g.r - 1))
+            e for e in g.edges
+            if any(len(g.completions(e[:i] + e[i + 1 :])) <= threshold for i in range(g.r))
         }
-        live -= doomed
+        if not doomed:
+            return g, deleted
         deleted += len(doomed)
-    return Hypergraph(g.r, g.n, live), deleted
+        g = Hypergraph(g.r, g.n, (e for e in g.edges if e not in doomed))
 
 
 def _reverse_walk_distances(g: Hypergraph, target) -> dict:
@@ -432,11 +425,16 @@ class EpsCloseReport:
         return not (self.violations_1 or self.violations_2 or self.violations_3)
 
 
-def check_eps_close(g: Hypergraph, a_side, b_side, t: TripleSet, eps) -> EpsCloseReport:
+def _check_waypoints(t: Hypergraph) -> None:
+    if t.r != 3:
+        raise ValueError(f"waypoints must form a 3-graph, got arity {t.r}")
+
+
+def check_eps_close(g: Hypergraph, a_side, b_side, t: Hypergraph, eps) -> EpsCloseReport:
     """Audit how close ``g`` is to the odd bipartite 4-graph on (A, B) along ``t``.
 
-    The parts must partition the vertex set and the waypoint triples must be
-    sorted inside it. Three conditions are checked exactly: every waypoint
+    The parts must partition the vertex set and the waypoint 3-graph must
+    live on it. Three conditions are checked exactly: every waypoint
     triple extends to at least a (1 - eps) share of the side that keeps the
     intersection with A odd; every shadow pair completes to waypoints in at
     least a (1 - eps) share of each part; every vertex reaches at least a
@@ -450,6 +448,7 @@ def check_eps_close(g: Hypergraph, a_side, b_side, t: TripleSet, eps) -> EpsClos
         raise ValueError("parts must be disjoint")
     if part_a | part_b != set(range(g.n)):
         raise ValueError("parts must cover the vertex set")
+    _check_waypoints(t)
     if t.n != g.n:
         raise ValueError(f"triple family lives on {t.n} vertices, graph on {g.n}")
     eps = _as_fraction(eps)
@@ -457,27 +456,22 @@ def check_eps_close(g: Hypergraph, a_side, b_side, t: TripleSet, eps) -> EpsClos
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
 
     bad_triples = []
-    for tri in sorted(t.triples):
+    for tri in t.edges:
         side = part_b if len(part_a.intersection(tri)) % 2 else part_a
         # adding u from this side keeps |edge ∩ A| odd
         pool = side.difference(tri)
-        deg = sum(g.has_edge(tri + (u,)) for u in pool)
-        if deg < (1 - eps) * len(pool):
+        if len(pool.intersection(g.completions(tri))) < (1 - eps) * len(pool):
             bad_triples.append(tri)
 
-    pairs = shadow(t.triples)
-    pair_deg: Counter = Counter()
-    for x, y, z in t.triples:
-        for u, v, w in ((x, y, z), (x, z, y), (y, z, x)):
-            pair_deg[(u, v, "A" if w in part_a else "B")] += 1
+    pairs = shadow(t.edges)
     bad_pairs = []
     bad_pairs_remark = []
     for pair in sorted(pairs):
+        thirds = t.completions(pair)
         for side, tag in ((part_a, "A"), (part_b, "B")):
-            if pair_deg[(*pair, tag)] < (1 - eps) * len(side.difference(pair)):
+            if len(side.intersection(thirds)) < (1 - eps) * len(side.difference(pair)):
                 bad_pairs.append((pair, tag))
-        total = pair_deg[(*pair, "A")] + pair_deg[(*pair, "B")]
-        if total < (1 - eps / 3) * (g.n - 2):
+        if len(thirds) < (1 - eps / 3) * (g.n - 2):
             bad_pairs_remark.append(pair)
 
     adj: dict[int, set[int]] = {v: set() for v in range(g.n)}
@@ -504,8 +498,8 @@ def check_eps_close(g: Hypergraph, a_side, b_side, t: TripleSet, eps) -> EpsClos
     )
 
 
-def refine_triple_set(t: TripleSet, alpha, eps, delta) -> tuple[frozenset[int], TripleSet]:
-    """Trim a dense triple family to one with uniformly spread degrees.
+def refine_triple_set(t: Hypergraph, alpha, eps, delta) -> tuple[frozenset[int], Hypergraph]:
+    """Trim a dense triple family (a 3-graph) to one with uniformly spread degrees.
 
     From a family of at least (alpha - eps) n^3 / 6 triples whose pair
     degrees never exceed alpha * n, keep the vertices of near-average triple
@@ -520,6 +514,7 @@ def refine_triple_set(t: TripleSet, alpha, eps, delta) -> tuple[frozenset[int], 
     alpha = _as_fraction(alpha)
     eps = _as_fraction(eps)
     delta = _as_fraction(delta)
+    _check_waypoints(t)
     n = t.n
     if not 0 < alpha <= 1 or not 0 < eps <= 1:
         raise ValueError("alpha and eps must lie in (0, 1]")
@@ -527,43 +522,30 @@ def refine_triple_set(t: TripleSet, alpha, eps, delta) -> tuple[frozenset[int], 
         raise ValueError(f"delta {delta} out of range for eps {eps}, alpha {alpha}")
     if delta >= 1 or delta * (1 - delta) * n < 1:
         raise ValueError(f"{n} vertices is too small for delta {delta}")
-    if 6 * len(t) < (alpha - eps) * n**3:
+    if 6 * len(t.edges) < (alpha - eps) * n**3:
         raise ValueError("triple family too sparse for these constants")
-    pair_deg: Counter = Counter()
-    vertex_deg: Counter = Counter()
-    for tri in t.triples:
-        for pair in itertools.combinations(tri, 2):
-            pair_deg[pair] += 1
-        for v in tri:
-            vertex_deg[v] += 1
-    if any(d > alpha * n for d in pair_deg.values()):
+    if any(len(t.completions(pair)) > alpha * n for pair in shadow(t.edges)):
         raise ValueError(f"a pair degree exceeds alpha * n = {alpha * n}")
+    vertex_deg = Counter(v for tri in t.edges for v in tri)
 
     keep = frozenset(v for v in range(n) if vertex_deg[v] >= (alpha - delta**2) * n**2 / 2)
-    inner = [tri for tri in t.triples if all(v in keep for v in tri)]
-    inner_deg: Counter = Counter()
-    for tri in inner:
-        for pair in itertools.combinations(tri, 2):
-            inner_deg[pair] += 1
+    inner = Hypergraph(3, n, (tri for tri in t.edges if keep.issuperset(tri)))
     poor = {
         pair for pair in itertools.combinations(sorted(keep), 2)
-        if inner_deg[pair] < (alpha - delta) * n
+        if len(inner.completions(pair)) < (alpha - delta) * n
     }
-    refined = triple_set(
-        n,
-        (tri for tri in inner if not any(p in poor for p in itertools.combinations(tri, 2))),
+    refined = Hypergraph(
+        3, n, (tri for tri in inner.edges if poor.isdisjoint(itertools.combinations(tri, 2)))
     )
 
     if len(keep) < (1 - delta**2) * n:
         raise RuntimeError(f"kept {len(keep)} vertices, below (1 - delta^2) n")
-    final_deg: Counter = Counter()
+    final_pairs = shadow(refined.edges)
     final_adj: dict[int, set[int]] = {v: set() for v in keep}
-    for x, y, z in refined.triples:
-        for u, v in ((x, y), (x, z), (y, z)):
-            final_deg[(u, v)] += 1
-            final_adj[u].add(v)
-            final_adj[v].add(u)
-    if any(d < (alpha - 7 * delta) * n for d in final_deg.values()):
+    for u, v in final_pairs:
+        final_adj[u].add(v)
+        final_adj[v].add(u)
+    if any(len(refined.completions(pair)) < (alpha - 7 * delta) * n for pair in final_pairs):
         raise RuntimeError("a surviving shadow pair has degree below (alpha - 7 delta) n")
     if any(len(final_adj[v]) < (1 - 4 * delta) * n for v in keep):
         raise RuntimeError("a surviving vertex has shadow degree below (1 - 4 delta) n")
@@ -578,7 +560,7 @@ def build_walk_through_T(
     g: Hypergraph,
     a_side,
     b_side,
-    t: TripleSet,
+    t: Hypergraph,
     eps,
     endpoints,
     pattern,
@@ -612,7 +594,7 @@ def build_walk_through_T(
     start, end = endpoints
     start = tuple(start)
     end = tuple(end)
-    if start not in t or end not in t:
+    if not (t.has_edge(start) and t.has_edge(end)):
         raise ValueError("both endpoint triples must belong to the waypoint family")
     tokens = list(pattern)
     if len(tokens) < 6:
@@ -647,7 +629,7 @@ def build_walk_through_T(
         window = seq[i - 3 : i + 1]
         if len(set(window)) != 4 or not g.has_edge(window):
             return False
-        return not (3 <= i <= last_waypoint) or seq[i - 2 : i + 1] in t
+        return not (3 <= i <= last_waypoint) or t.has_edge(seq[i - 2 : i + 1])
 
     def search(i: int):
         if i == total - 3:

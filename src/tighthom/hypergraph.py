@@ -1,17 +1,19 @@
 """Uniform hypergraphs on integer vertices, and the generators used throughout.
 
 Edges are stored as sorted tuples of distinct vertices; a ``Hypergraph`` is an
-immutable value (equal iff same arity, vertex count, and edge set).  Derived
-data (the completion index of its (r-1)-sets, its tight components, its walk
-successor table) is built on first use and kept on the instance, so it dies
-with the graph.  The text format puts ``r n`` on the first line and one edge
-of ``r`` vertices per following line; ``#`` starts a comment.
+immutable value (equal iff same arity, vertex count, and edge set).  Its one
+adjacency index is the face index: each sorted (r-1)-subset of an edge maps
+to the ascending vertices completing it (``completions``), and membership and
+codegree questions read it.  Derived data (that index, the tight components,
+the walk successor table) is built on first use and kept on the instance, so
+it dies with the graph.  Waypoint triple families are 3-graphs.  The text
+format puts ``r n`` on the first line and one edge of ``r`` vertices per
+following line; ``#`` starts a comment.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .permgroup import apply_to_tuple
 
@@ -19,7 +21,7 @@ Edge = tuple[int, ...]
 
 
 class Hypergraph:
-    __slots__ = ("r", "n", "edges", "_edge_set", "_completions", "_components", "_walks")
+    __slots__ = ("r", "n", "edges", "_completions", "_components", "_walks")
 
     def __init__(self, r: int, n: int, edges):
         if r < 1:
@@ -37,7 +39,6 @@ class Hypergraph:
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
-        object.__setattr__(self, "_edge_set", frozenset(canon))
         for cache in ("_completions", "_components", "_walks"):
             object.__setattr__(self, cache, None)
 
@@ -45,7 +46,8 @@ class Hypergraph:
         raise AttributeError("Hypergraph is immutable")
 
     def has_edge(self, vertices) -> bool:
-        return tuple(sorted(vertices)) in self._edge_set
+        t = tuple(sorted(vertices))
+        return len(t) == self.r and t[-1] in self.completions(t[:-1])
 
     def completions(self, face) -> tuple[int, ...]:
         """Vertices completing the sorted (r-1)-tuple ``face`` to an edge, ascending."""
@@ -66,10 +68,10 @@ class Hypergraph:
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.r, self.n, self._edge_set) == (other.r, other.n, other._edge_set)
+        return (self.r, self.n, self.edges) == (other.r, other.n, other.edges)
 
     def __hash__(self):
-        return hash((self.r, self.n, self._edge_set))
+        return hash((self.r, self.n, self.edges))
 
     def __repr__(self):
         return f"Hypergraph(r={self.r}, n={self.n}, edges={len(self.edges)})"
@@ -223,43 +225,6 @@ def shadow(triples) -> set[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class TripleSet:
-    """A family of 3-subsets of 0..n-1, used as walk way-points."""
-
-    n: int
-    triples: frozenset[tuple[int, int, int]]
-
-    def __post_init__(self):
-        for t in self.triples:
-            if len(t) != 3 or len(set(t)) != 3 or tuple(sorted(t)) != t:
-                raise ValueError(f"not a sorted triple: {t!r}")
-            if t[0] < 0 or t[2] >= self.n:
-                raise ValueError(f"triple {t!r} out of range 0..{self.n - 1}")
-
-    def __contains__(self, t) -> bool:
-        return tuple(sorted(t)) in self.triples
-
-    def __len__(self) -> int:
-        return len(self.triples)
-
-
-def triple_set(n: int, triples) -> TripleSet:
-    return TripleSet(n, frozenset(tuple(sorted(t)) for t in triples))
-
-
-def all_triples(n: int) -> TripleSet:
-    return triple_set(n, itertools.combinations(range(n), 3))
-
-
-def triples_to_text(ts: TripleSet) -> str:
-    lines = [f"3 {ts.n}"]
-    lines.extend(" ".join(map(str, t)) for t in sorted(ts.triples))
-    return "\n".join(lines) + "\n"
-
-
-def triples_from_text(text: str) -> TripleSet:
-    g = from_text(text)
-    if g.r != 3:
-        raise ValueError("triple files must have arity 3")
-    return triple_set(g.n, g.edges)
+def all_triples(n: int) -> Hypergraph:
+    """The complete 3-graph on 0..n-1, the default waypoint family."""
+    return Hypergraph(3, n, itertools.combinations(range(n), 3))

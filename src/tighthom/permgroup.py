@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 Perm = tuple[int, ...]
@@ -88,16 +88,23 @@ def order_of(p: Perm) -> int:
 
 
 def cycles_of(p: Perm) -> tuple[tuple[int, ...], ...]:
-    """Disjoint cycles, each starting at its least slot, sorted by that slot."""
-    seen = [False] * len(p)
+    """Disjoint cycles, each starting at its least slot, sorted by that slot.
+
+    ValueError if ``p`` is not a permutation: following it from a slot must
+    meet only new slots in range until it returns to that slot.
+    """
+    n = len(p)
+    seen = [False] * n
     out = []
-    for start in range(len(p)):
+    for start in range(n):
         if seen[start]:
             continue
         cycle = [start]
         seen[start] = True
         j = p[start]
         while j != start:
+            if not 0 <= j < n or seen[j]:
+                raise ValueError(f"{p!r} is not a permutation")
             cycle.append(j)
             seen[j] = True
             j = p[j]
@@ -244,7 +251,9 @@ def _index_tables(r: int):
     """Index-based multiplication/inverse/conjugation tables over all_perms(r)."""
     perms = all_perms(r)
     index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[compose(a, b)] for b in perms] for a in perms]
+    # compose(a, b) is itemgetter(*b)(a), one C-level call per entry
+    getters = [operator.itemgetter(*b) for b in perms]
+    mul = [[index[get(a)] for get in getters] for a in perms]
     inv = [index[inverse(p)] for p in perms]
     return index, mul, inv
 
@@ -375,6 +384,7 @@ def embeds_in(small, big, r: int) -> bool:
     return next(conjugators(small, big, r), None) is not None
 
 
+@lru_cache(maxsize=None)
 def maximal_avoiding_classes(r: int, pi: Perm) -> tuple[SubgroupClass, ...]:
     """Classes avoiding ``pi`` that embed in no larger avoiding class, in class order."""
     _check_arity(r)
@@ -392,11 +402,6 @@ def maximal_avoiding_classes(r: int, pi: Perm) -> tuple[SubgroupClass, ...]:
     return tuple(out)
 
 
-def coset_rep(g: Perm, gamma) -> Perm:
-    """Lexicographically least member of the left coset ``g . gamma``."""
-    return min(compose(g, h) for h in gamma)
-
-
 Color = tuple[int, Perm]
 
 
@@ -404,29 +409,41 @@ Color = tuple[int, Perm]
 class ColorSet:
     """Disjoint union of the left coset spaces of the maximal avoiding classes.
 
-    A color is a pair (class index, canonical coset representative); acting on
-    a color by a permutation keeps the class index and moves the coset.
+    A color is a pair (class index, least member of a left coset of that
+    class); acting on a color by a permutation keeps the class index and moves
+    the coset.  ``cosets[idx]`` maps every permutation to the least member of
+    its coset, and is left out of comparison and hashing.
     """
 
     r: int
     pi: Perm
     classes: tuple[SubgroupClass, ...]
     colors: tuple[Color, ...]
+    cosets: tuple[dict[Perm, Perm], ...] = field(compare=False, repr=False)
+
+    def color(self, idx: int, g: Perm) -> Color:
+        """The color of the coset ``g . gamma`` of class ``idx``."""
+        return (idx, self.cosets[idx][g])
 
     def act(self, s: Perm, color: Color) -> Color:
         idx, rep = color
-        return (idx, coset_rep(compose(s, rep), self.classes[idx].representative))
+        return self.color(idx, compose(s, rep))
 
 
 @lru_cache(maxsize=None)
 def color_set(r: int, pi: Perm) -> ColorSet:
+    """One lexicographic pass over S_r per class meets each coset first at its least member."""
     classes = maximal_avoiding_classes(r, pi)
     colors = []
+    cosets = []
     for idx, c in enumerate(classes):
-        gamma = c.representative
-        reps = sorted({coset_rep(g, gamma) for g in all_perms(r)})
-        colors.extend((idx, rep) for rep in reps)
-    return ColorSet(r=r, pi=pi, classes=classes, colors=tuple(colors))
+        least: dict[Perm, Perm] = {}
+        for g in all_perms(r):
+            if g not in least:
+                colors.append((idx, g))
+                least.update((compose(g, h), g) for h in c.representative)
+        cosets.append(least)
+    return ColorSet(r=r, pi=pi, classes=classes, colors=tuple(colors), cosets=tuple(cosets))
 
 
 def class_by_name(r: int, name: str) -> SubgroupClass:

@@ -8,7 +8,7 @@ its own oracle.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +330,24 @@ def o_graph_odd_closed_walk(edges, n):
                 elif color[w] == color[u]:
                     return True
     return False
+
+
+def o_prune_low_codegree(edges, r, threshold):
+    """Codegree pruning by counting: each pass counts every (r-1)-subset of the
+    surviving edges and drops each edge holding one covered at most
+    ``threshold`` (that is, eps * n) times. Returns (sorted survivors, deleted
+    count).
+    """
+    live = {tuple(sorted(e)) for e in edges}
+    deleted = 0
+    while True:
+        codeg = Counter(sub for e in live for sub in itertools.combinations(e, r - 1))
+        weak = {sub for sub, d in codeg.items() if d <= threshold}
+        doomed = {e for e in live if any(sub in weak for sub in itertools.combinations(e, r - 1))}
+        if not doomed:
+            return tuple(sorted(live)), deleted
+        live -= doomed
+        deleted += len(doomed)
 
 
 def o_max_hom_free(n, r, residues):

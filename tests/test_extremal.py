@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import o_max_hom_free
+from oracles import o_max_hom_free, o_prune_low_codegree
+from strategies import hypergraphs
 from tighthom import extremal
 from tighthom.extremal import (
     BudgetExceededError,
@@ -29,7 +30,6 @@ from tighthom.hypergraph import (
     all_triples,
     complete_oddly_bipartite,
     tight_cycle,
-    triple_set,
     twisted_tight_cycle,
 )
 from tighthom.tightconn import (
@@ -245,6 +245,16 @@ def test_prune_is_idempotent():
     assert prune_low_codegree(pruned, Fraction(1, 8)) == (pruned, 0)
 
 
+@given(
+    hypergraphs(r_values=(1, 2, 3, 4), max_n=7),
+    st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
+)
+def test_prune_matches_oracle(g, eps):
+    pruned, deleted = prune_low_codegree(g, eps)
+    assert (pruned.edges, deleted) == o_prune_low_codegree(g.edges, g.r, eps * g.n)
+    assert (pruned.r, pruned.n) == (g.r, g.n)
+
+
 def test_prune_rejects_negative_eps():
     with pytest.raises(ValueError):
         prune_low_codegree(complete4(5), -1)
@@ -387,7 +397,7 @@ def test_eps_close_flags_one_missing_edge():
 
 
 def test_eps_close_empty_triples_fail_vertex_condition():
-    report = check_eps_close(complete_oddly_bipartite(5, 5), range(5), range(5, 10), triple_set(10, []), 0.5)
+    report = check_eps_close(complete_oddly_bipartite(5, 5), range(5), range(5, 10), Hypergraph(3, 10, []), 0.5)
     assert report.violations_1 == () and report.violations_2 == ()
     assert report.violations_3 == tuple((v, tag) for v in range(10) for tag in ("A", "B"))
     assert not report.is_close
@@ -398,7 +408,7 @@ def test_eps_close_remark_gate_and_thresholds():
     report = check_eps_close(g28, range(2), range(2, 10), all_triples(10), 0.5)
     assert not report.remark_applies
 
-    clique = triple_set(10, itertools.combinations(range(6), 3))
+    clique = Hypergraph(3, 10, itertools.combinations(range(6), 3))
     report = check_eps_close(complete_oddly_bipartite(5, 5), range(5), range(5, 10), clique, 0.3)
     assert report.remark_applies
     assert (0, 1) in report.remark_violations_2
@@ -418,6 +428,8 @@ def test_eps_close_validates_input():
         check_eps_close(g, range(5), range(5, 10), t, 2)
     with pytest.raises(ValueError):
         check_eps_close(tight_cycle(3, 7), range(3), range(3, 7), all_triples(7), 0)
+    with pytest.raises(ValueError):
+        check_eps_close(g, range(5), range(5, 10), g, 0)  # waypoints are not a 3-graph
 
 
 def perturbed_host():
@@ -449,15 +461,13 @@ def test_refine_triple_set_identity_on_uniform_family():
 
 def test_refine_triple_set_trims_thin_vertex_and_poor_pair():
     deleted = {(0, 1, z) for z in range(7, 19)}
-    t = triple_set(20, (tri for tri in itertools.combinations(range(19), 3) if tri not in deleted))
+    t = Hypergraph(3, 20, (tri for tri in itertools.combinations(range(19), 3) if tri not in deleted))
     keep, refined = refine_triple_set(t, 0.9, 0.4, 0.5)
     assert keep == frozenset(range(19))
-    assert len(refined) == 952
-    assert (0, 1, 2) not in refined and (0, 1, 6) not in refined
-    assert (0, 2, 3) in refined
-    from tighthom.hypergraph import shadow
-
-    assert (0, 1) not in shadow(refined.triples)
+    assert len(refined.edges) == 952
+    assert not refined.has_edge((0, 1, 2)) and not refined.has_edge((0, 1, 6))
+    assert refined.has_edge((0, 2, 3))
+    assert refined.completions((0, 1)) == ()
 
 
 def test_refine_triple_set_preconditions():
@@ -469,10 +479,12 @@ def test_refine_triple_set_preconditions():
     with pytest.raises(ValueError):
         refine_triple_set(all_triples(3), 1, 0.06, 0.25)  # n too small
     with pytest.raises(ValueError):
-        refine_triple_set(triple_set(50, [(0, 1, 2)]), 1, 0.06, 0.25)  # too sparse
-    heavy = triple_set(12, itertools.combinations(range(12), 3))
+        refine_triple_set(Hypergraph(3, 50, [(0, 1, 2)]), 1, 0.06, 0.25)  # too sparse
+    heavy = Hypergraph(3, 12, itertools.combinations(range(12), 3))
     with pytest.raises(ValueError):
         refine_triple_set(heavy, 0.5, 0.06, 0.25)  # a pair degree above alpha n
+    with pytest.raises(ValueError):
+        refine_triple_set(complete4(6), 1, 0.06, 0.25)  # waypoints are not a 3-graph
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +501,7 @@ def test_walk_through_exact_odd_bipartite():
     assert w.stretch == 8
     assert is_valid_walk(g, w.vertices)
     t = all_triples(12)
-    assert all(tuple(w.vertices[i - 2 : i + 1]) in t for i in range(2, len(w.vertices) - 6))
+    assert all(t.has_edge(w.vertices[i - 2 : i + 1]) for i in range(2, len(w.vertices) - 6))
 
 
 def test_walk_routes_through_an_extra_edge():
@@ -537,7 +549,7 @@ def test_walk_preconditions():
     missing = Hypergraph(4, 12, [e for e in g.edges if e != (0, 1, 2, 6)])
     with pytest.raises(ValueError):
         build_walk_through_T(missing, a, b, t, 0, ends, ("B", "A", "A", "A", "B", "A"))
-    small = triple_set(12, [tri for tri in itertools.combinations(range(12), 3) if tri != (0, 1, 2)])
+    small = Hypergraph(3, 12, [tri for tri in itertools.combinations(range(12), 3) if tri != (0, 1, 2)])
     with pytest.raises(ValueError):
         build_walk_through_T(g, a, b, small, 0, ends, ("B", "A", "A", "A", "B", "A"))
     with pytest.raises(ValueError):

@@ -125,19 +125,19 @@ def test_link_degree_neighborhood():
 
 def test_shadow():
     assert hg.shadow([(0, 1, 2)]) == {(0, 1), (0, 2), (1, 2)}
-    assert len(hg.shadow(hg.all_triples(4).triples)) == 6
+    assert len(hg.shadow(hg.all_triples(4).edges)) == 6
     assert hg.shadow([]) == set()
 
 
 def test_triple_set_membership():
-    ts = hg.triple_set(5, [(2, 1, 0), (1, 2, 3)])
-    assert (0, 1, 2) in ts
-    assert (3, 2, 1) in ts
-    assert (0, 1, 3) not in ts
-    assert len(ts) == 2
-    assert len(hg.all_triples(5)) == 10
+    ts = hg.Hypergraph(3, 5, [(2, 1, 0), (1, 2, 3)])
+    assert ts.has_edge((0, 1, 2))
+    assert ts.has_edge((3, 2, 1))
+    assert not ts.has_edge((0, 1, 3))
+    assert len(ts.edges) == 2
+    assert len(hg.all_triples(5).edges) == 10
     with pytest.raises(ValueError):
-        hg.TripleSet(3, frozenset({(0, 1, 3)}))
+        hg.Hypergraph(3, 3, [(0, 1, 3)])
 
 
 @given(hypergraphs())
@@ -156,5 +156,18 @@ def test_text_comments_and_errors():
 
 @given(hypergraphs(r_values=(3,), max_n=6))
 def test_triples_text_round_trip(g):
-    ts = hg.triple_set(g.n, g.edges)
-    assert hg.triples_from_text(hg.triples_to_text(ts)) == ts
+    # a triple file is a 3-graph text file, loaded by from_text
+    back = hg.from_text(hg.to_text(g))
+    assert back == g
+    assert all(back.has_edge(t) == (t in g.edges) for t in itertools.combinations(range(g.n), 3))
+
+
+@given(
+    hypergraphs(r_values=(1, 2, 3, 4), max_n=6),
+    st.lists(st.lists(st.integers(min_value=-2, max_value=8), max_size=6), max_size=40),
+)
+def test_has_edge_matches_edge_set(g, probes):
+    edge_set = set(g.edges)
+    edge_probes = [list(e) for e in g.edges] + [list(e[:-1]) + [e[0]] for e in g.edges]
+    for x in probes + edge_probes:
+        assert g.has_edge(x) == (tuple(sorted(x)) in edge_set)

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -57,6 +59,71 @@ SUBGROUP_TOTALS = {2: 2, 3: 6, 4: 30, 5: 156, 6: 1455}
 ENUMERATION_DIGESTS = {
     5: "fd2444bc1edc5cce07795fd406a21eeee895b06ec0bd31550d80720295e4cfff",
     6: "2aa1cd476703c9c032b34a15eaed15d717d67221c839e3aacf73170ec56f0ba5",
+}
+
+# color_set(r, cyc^k) pinned for every rotation power: sha256 of repr(colors)
+# and of repr([act(s, c) for s in all_perms(r) for c in colors]).
+COLOR_SET_DIGESTS = {
+    (2, 1): (
+        "5fac856d03e34fb5d49eb6e6b9363e2276e8b1d256b9e6388391dc83ea5e18c3",
+        "4a6cccd66f041498db02e3d757105e7d0157362ef6b64f091f471153ead39b41",
+    ),
+    (3, 1): (
+        "85167fd66c7634e418cc8976b9258cf81329739134a57c03e6084170401c57b0",
+        "3fac864c10169135a80333f7923c9b11c9880ecb100abf68a7e66eedd95b29aa",
+    ),
+    (3, 2): (
+        "85167fd66c7634e418cc8976b9258cf81329739134a57c03e6084170401c57b0",
+        "3fac864c10169135a80333f7923c9b11c9880ecb100abf68a7e66eedd95b29aa",
+    ),
+    (4, 1): (
+        "d811bdd060578d6aa1bbe446fcbf37013ffa9f5a6f2110452522936ad597cae1",
+        "98220de3d2fc349b8ae5a2565b22eeca01ca26b86277f76319659439b2c8687d",
+    ),
+    (4, 2): (
+        "7c38e8fb5428ef1f2449e76b3633358fa576f53a28f91bb13c42ad9a0cb27a6b",
+        "f1137795c0319f156411e701426d16b44aaa4b28310a06bdf97249c416436628",
+    ),
+    (4, 3): (
+        "d811bdd060578d6aa1bbe446fcbf37013ffa9f5a6f2110452522936ad597cae1",
+        "98220de3d2fc349b8ae5a2565b22eeca01ca26b86277f76319659439b2c8687d",
+    ),
+    (5, 1): (
+        "e572ef4495bdf0881f2b635ce30706d4a42a6a229057964644664edf20486218",
+        "d19f93969d3586b6db74567a8e2c71e17ce80347d66bf8c51aed9763a613b4e8",
+    ),
+    (5, 2): (
+        "e572ef4495bdf0881f2b635ce30706d4a42a6a229057964644664edf20486218",
+        "d19f93969d3586b6db74567a8e2c71e17ce80347d66bf8c51aed9763a613b4e8",
+    ),
+    (5, 3): (
+        "e572ef4495bdf0881f2b635ce30706d4a42a6a229057964644664edf20486218",
+        "d19f93969d3586b6db74567a8e2c71e17ce80347d66bf8c51aed9763a613b4e8",
+    ),
+    (5, 4): (
+        "e572ef4495bdf0881f2b635ce30706d4a42a6a229057964644664edf20486218",
+        "d19f93969d3586b6db74567a8e2c71e17ce80347d66bf8c51aed9763a613b4e8",
+    ),
+    (6, 1): (
+        "33161f4bf8986dd21a1754876ccd314490defad1d6fa257cbc34aa6671d2d96d",
+        "39bd39e760054d735b6578f19758b1933eb5ffef5a75cf4afa4b526a9a1f1a49",
+    ),
+    (6, 2): (
+        "72e3e5999d8c1549783edca03b3caedfbc94636fd2fd7f42f095c7ffaad8100e",
+        "d4c8f713a9f19ef23af8fed761c67a1359ae108d7a8815782700ce9621ad8a7b",
+    ),
+    (6, 3): (
+        "807641b3912a6101654c56ca0a8f830be5684086af36f3054bc473fb1aae4654",
+        "db4b2e58db95bfb5082c570b928c99e4da406bb795c31927fb365c5ac3aa6c06",
+    ),
+    (6, 4): (
+        "72e3e5999d8c1549783edca03b3caedfbc94636fd2fd7f42f095c7ffaad8100e",
+        "d4c8f713a9f19ef23af8fed761c67a1359ae108d7a8815782700ce9621ad8a7b",
+    ),
+    (6, 5): (
+        "33161f4bf8986dd21a1754876ccd314490defad1d6fa257cbc34aa6671d2d96d",
+        "39bd39e760054d735b6578f19758b1933eb5ffef5a75cf4afa4b526a9a1f1a49",
+    ),
 }
 
 perms4 = st.sampled_from(pg.all_perms(4))
@@ -312,6 +379,42 @@ def test_conjugators_match_definition():
 
 def test_color_set_is_shared():
     assert pg.color_set(4, pg.cyc(4)) is pg.color_set(4, pg.cyc(4))
+    assert pg.maximal_avoiding_classes(5, pg.cyc(5)) is pg.maximal_avoiding_classes(5, pg.cyc(5))
+    cs = pg.color_set(4, pg.cyc(4))
+    twin = pg.ColorSet(cs.r, cs.pi, cs.classes, cs.colors, cosets=())
+    assert twin == cs and hash(twin) == hash(cs)
+
+
+@pytest.mark.parametrize("r, k", sorted(COLOR_SET_DIGESTS))
+def test_color_set_is_pinned(r, k):
+    cs = pg.color_set(r, pg.perm_power(pg.cyc(r), k))
+    acts = [cs.act(s, c) for s in pg.all_perms(r) for c in cs.colors]
+    digests = tuple(hashlib.sha256(repr(x).encode()).hexdigest() for x in (cs.colors, acts))
+    assert digests == COLOR_SET_DIGESTS[(r, k)]
+
+
+NOT_PERMUTATIONS = """
+from tighthom import permgroup as pg
+for call in (
+    lambda: pg.perm_power((0, 0, 1, 2), 2),
+    lambda: pg.avoids([(0, 1, 2, 3)], (1, 1, 2, 3)),
+    lambda: pg.maximal_avoiding_classes(4, (0, 0, 0, 0)),
+    lambda: pg.cycles_of((1, 0, 3)),
+    lambda: pg.cycles_of((1, -1, 2)),
+):
+    try:
+        call()
+    except ValueError:
+        continue
+    raise SystemExit("a non-permutation was accepted")
+"""
+
+
+def test_non_permutations_raise_instead_of_hanging():
+    proc = subprocess.run(
+        [sys.executable, "-c", NOT_PERMUTATIONS], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_class_by_name():
