@@ -309,7 +309,7 @@ def check_color_inequalities(census: TriangleCensus, n: int) -> InequalityReport
     return InequalityReport(
         n=n,
         items=items,
-        cherry_alt_ok=tc <= (2 * math.sqrt(3) - 3) * scale,
+        cherry_alt_ok=(6 * tc + 3 * n3) ** 2 <= 12 * n6,  # tc <= (2*sqrt(3) - 3) * n^3/6
         purple_refined_ok=24 * tp <= n3 - n,
         f_bound=eval_f(a, b, g, d) * scale,
         triangles_total=tg + tp + tc,

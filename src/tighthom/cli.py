@@ -61,11 +61,6 @@ def _load_triples(source: str, n: int) -> hg.Hypergraph:
     return hg.all_triples(n) if source == "all" else _load_graph(source)
 
 
-def _fmt_color(color) -> str:
-    idx, rep = color
-    return f"{idx}:{pg.format_perm(rep)}"
-
-
 def _fmt_value(value) -> str:
     return ":".join(str(part) for part in value)
 
@@ -87,15 +82,8 @@ def _cmd_groups(args):
                 f"{cls.name:<16} order={cls.order:<3} class_size={cls.class_size:<3} "
                 f"avoids_cyc={str(flags[0]).lower()} avoids_cyc2={str(flags[1]).lower()}"
             )
-            records.append(
-                {
-                    "name": cls.name,
-                    "order": cls.order,
-                    "class_size": cls.class_size,
-                    "avoids_cyc": flags[0],
-                    "avoids_cyc2": flags[1],
-                }
-            )
+            records.append({"name": cls.name, "order": cls.order, "class_size": cls.class_size,
+                            "avoids_cyc": flags[0], "avoids_cyc2": flags[1]})
         return lines, records, False
     pi = pg.parse_perm(args.avoid, r)
     classes = pg.maximal_avoiding_classes(r, pi)
@@ -107,13 +95,8 @@ def _cmd_groups(args):
         lines.append(f"colors: {len(cs.colors)}")
         for idx, rep in cs.colors:
             lines.append(f"color {cs.classes[idx].name} {pg.format_perm(rep)}")
-            records.append(
-                {
-                    "class_index": idx,
-                    "class_name": cs.classes[idx].name,
-                    "coset_rep": pg.format_perm(rep),
-                }
-            )
+            records.append({"class_index": idx, "class_name": cs.classes[idx].name,
+                            "coset_rep": pg.format_perm(rep)})
     return lines, records, False
 
 

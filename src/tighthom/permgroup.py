@@ -16,9 +16,17 @@ from the identity over a list of generators that skips a generator already
 in the group and stops once the group holds more than half of S_r (Seress,
 Permutation Group Algorithms).  ``closure`` acts on tuples by right
 multiplication; the enumeration acts on indices into ``all_perms(r)`` by left
-multiplication along a table, and each class it finds carries the
-generators it was built from, conjugated onto its representative, so joining
-a class with a cyclic seed closes those generators plus the seed's.
+multiplication along a table.
+
+The class lattice conjugates only in ``_conjugation_orbit``, a breadth-first
+orbit of an index-set subgroup under generators (``cyc(r)`` and the swap of
+slots 1 and 2 for S_r) that returns each conjugate with one conjugating
+element and the stabilizer's Schreier generators.  Each class keeps its
+conjugates, so "c embeds in d" is a subset test against d's representative.
+The enumeration moves onto each representative, by the orbit's conjugating
+element, the generators the class was built from (a join with a cyclic seed
+closes those plus the seed's) and its normalizer's: the Schreier generators
+thinned by ``_close``.
 
 A "color set" for a permutation ``pi`` is the disjoint union of the left
 coset spaces of the maximal ``pi``-avoiding classes; colors are the atoms
@@ -158,32 +166,35 @@ def all_perms(r: int) -> tuple[Perm, ...]:
 
 
 def _close(ident, gens, act, full_size: int):
-    """The group ``gens`` generate, breadth-first from ``ident``; None if it is all of S_r.
+    """The group ``gens`` generate, breadth-first from ``ident``, and the generators kept.
 
     ``act(g)`` is multiplication by the generator ``g``.  A generator already
     in the group so far is skipped and every step uses only the kept ones, so
-    few are kept.  A subgroup with more than half of the ``full_size``
-    elements of S_r is S_r itself (Lagrange), so the loop stops there.
+    few are kept; they alone generate the group.  A subgroup with more than
+    half of the ``full_size`` elements of S_r is S_r itself (Lagrange), so the
+    loop stops there and the group comes back as None.
     """
     members = {ident}
     kept = []
+    steps = []
     for g in gens:
         if g in members:
             continue
-        kept.append(act(g))
+        kept.append(g)
+        steps.append(act(g))
         frontier = list(members)
         while frontier:
             fresh = []
             for a in frontier:
-                for s in kept:
+                for s in steps:
                     c = s(a)
                     if c not in members:
                         members.add(c)
                         fresh.append(c)
             if 2 * len(members) > full_size:
-                return None
+                return None, kept
             frontier = fresh
-    return members
+    return members, kept
 
 
 def closure(perms) -> frozenset[Perm]:
@@ -196,38 +207,28 @@ def closure(perms) -> frozenset[Perm]:
     if not gens:
         raise ValueError("need at least one permutation to infer arity")
     r = len(gens[0])
-    members = _close(identity(r), gens, lambda g: operator.itemgetter(*g), math.factorial(r))
+    members, _ = _close(identity(r), gens, lambda g: operator.itemgetter(*g), math.factorial(r))
     return frozenset(itertools.permutations(range(r)) if members is None else members)
 
 
-def conjugate_group(group, s: Perm) -> frozenset[Perm]:
-    s_inv = inverse(s)
-    return frozenset(compose(s, compose(h, s_inv)) for h in group)
-
-
 def minimal_generators(group) -> tuple[Perm, ...]:
-    """A small deterministic generating set, greedy over sorted elements."""
+    """A small deterministic generating set: the generators ``_close`` keeps from the
+    sorted elements, each one not in the span of those before it."""
     elements = sorted(group)
     r = len(elements[0])
-    gens: list[Perm] = []
-    span = {identity(r)}
-    for p in elements:
-        if p not in span:
-            gens.append(p)
-            span = set(closure(gens))
-            if len(span) == len(elements):
-                break
+    _, gens = _close(identity(r), elements, lambda g: operator.itemgetter(*g), math.factorial(r))
     return tuple(gens) if gens else (identity(r),)
 
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """One conjugacy class of subgroups, held by its canonical representative."""
+    """One conjugacy class of subgroups: its canonical representative and all conjugates."""
 
     r: int
     representative: tuple[Perm, ...]
     class_size: int
     name: str
+    conjugates: frozenset[frozenset[int]] = field(compare=False, repr=False)  # over all_perms(r)
 
     @property
     def order(self) -> int:
@@ -248,31 +249,53 @@ def _check_arity(r: int) -> None:
 
 @lru_cache(maxsize=None)
 def _index_tables(r: int):
-    """Index-based multiplication/inverse/conjugation tables over all_perms(r)."""
+    """Index tables over all_perms(r): ``mul[a][b]`` is ``compose(a, b)``, ``inv``
+    the inverses, and the generators ``cyc(r)`` and (1 2) of S_r."""
     perms = all_perms(r)
     index = {p: i for i, p in enumerate(perms)}
     # compose(a, b) is itemgetter(*b)(a), one C-level call per entry
     getters = [operator.itemgetter(*b) for b in perms]
     mul = [[index[get(a)] for get in getters] for a in perms]
     inv = [index[inverse(p)] for p in perms]
-    return index, mul, inv
+    swap = (1, 0) + tuple(range(2, r))
+    return index, mul, inv, (index[cyc(r)], index[swap])
+
+
+def _conjugation_orbit(r: int, group: frozenset[int], gens) -> tuple[dict, list[int]]:
+    """The conjugates of ``group`` under ``<gens>``, breadth-first, each mapped to
+    one ``t`` with ``t . group . t^-1`` equal to it, and the stabilizer's Schreier
+    generators ``t_K^-1 . g . t_H``, one per step that meets a known conjugate."""
+    index, mul, inv, _ = _index_tables(r)
+    orbit = {group: index[identity(r)]}
+    schreier = []
+    frontier = [group]
+    for h_group in frontier:
+        t = orbit[h_group]
+        for g in gens:
+            row, g_inv = mul[g], inv[g]
+            k_group = frozenset([mul[row[h]][g_inv] for h in h_group])
+            u = row[t]
+            t_k = orbit.get(k_group)
+            if t_k is None:
+                orbit[k_group] = u
+                frontier.append(k_group)
+            elif t_k != u:
+                schreier.append(mul[inv[t_k]][u])
+    return orbit, schreier
 
 
 def _class_name(r: int, canonical: tuple[Perm, ...], class_size: int) -> str | None:
     order = len(canonical)
     if order == 1:
         return "trivial"
-    moved = sorted({i for p in canonical for i in range(r) if p[i] != i})
-    m = len(moved)
+    # Every element fixes the slots no element moves, so the group lies in the
+    # symmetric group on the m moved slots: order m! makes it all of that group,
+    # and order m!/2 (m >= 3) its alternating group, its one subgroup of index 2.
+    m = len({i for p in canonical for i in range(r) if p[i] != i})
     if order == math.factorial(m):
-        sym = {p for p in all_perms(r) if all(p[i] == i for i in range(r) if i not in moved)}
-        if set(canonical) == sym:
-            return f"S{m}"
+        return f"S{m}"
     if m >= 3 and 2 * order == math.factorial(m):
-        alt = {p for p in all_perms(r)
-               if all(p[i] == i for i in range(r) if i not in moved) and is_even(p)}
-        if set(canonical) == alt:
-            return f"A{m}"
+        return f"A{m}"
     if r == 4 and order == 8:
         return "D4"
     if r == 4 and order == 4 and all(order_of(p) <= 2 for p in canonical):
@@ -285,18 +308,19 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
     """All subgroup conjugacy classes of the slot permutations, deterministically ordered.
 
     Seeds with cyclic subgroups and repeatedly joins class representatives with
-    the seeds until no new class appears; classes are deduped by conjugation
-    orbit.  Each class keeps the generators it was built from, conjugated onto
-    its representative, so a join closes those plus the seed's generator.
+    the seeds until no new class appears; a new group's conjugation orbit marks
+    its class as seen and is kept on it.
     """
     _check_arity(r)
     perms = all_perms(r)
-    index, mul, inv = _index_tables(r)
+    index, mul, inv, sym_gens = _index_tables(r)
     id_idx = index[identity(r)]
     full = len(perms)
 
+    step = lambda g: mul[g].__getitem__  # left multiplication by g
+
     def close(gens) -> frozenset[int]:
-        members = _close(id_idx, gens, lambda g: mul[g].__getitem__, full)
+        members, _ = _close(id_idx, gens, step, full)
         return frozenset(range(full)) if members is None else frozenset(members)
 
     seeds: dict[frozenset[int], int] = {}
@@ -304,55 +328,47 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
         if g != id_idx:
             seeds.setdefault(close([g]), g)
 
-    def conj(group, s: int) -> frozenset[int]:
-        s_inv = inv[s]
-        row = mul[s]
-        return frozenset(mul[row[h]][s_inv] for h in group)
-
     seen: set[frozenset[int]] = set()
-    found: list[tuple[frozenset[int], int]] = []
-    queue: list[tuple[frozenset[int], list[int]]] = []
+    found: list[tuple[tuple[Perm, ...], frozenset[frozenset[int]]]] = []
+    queue: list[tuple[frozenset[int], list[int], list[int]]] = []
 
     def register(group: frozenset[int], gens: list[int]) -> None:
         if group in seen:
             return
-        orbit: dict[frozenset[int], int] = {}
-        for s in range(full):
-            orbit.setdefault(conj(group, s), s)
+        orbit, schreier = _conjugation_orbit(r, group, sym_gens)
         seen.update(orbit)
-        canonical = min(orbit, key=lambda g: tuple(sorted(perms[i] for i in g)))
+        key, canonical = min((tuple(sorted(perms[i] for i in g)), g) for g in orbit)
         s = orbit[canonical]
-        found.append((canonical, len(orbit)))
-        queue.append((canonical, [mul[mul[s][h]][inv[s]] for h in gens]))
+        row, s_inv = mul[s], inv[s]
+        _, normalizer_gens = _close(id_idx, schreier, step, full)
+        found.append((key, frozenset(orbit)))
+        queue.append((canonical, [mul[row[h]][s_inv] for h in gens],
+                      [mul[row[h]][s_inv] for h in normalizer_gens]))
 
     register(frozenset({id_idx}), [])
     while queue:
-        rep, gens = queue.pop()
+        rep, gens, normalizer_gens = queue.pop()
         # Joining with a seed conjugated by the normalizer of rep lands in the
         # conjugacy class of the un-conjugated join, so one seed per
-        # normalizer-orbit suffices.
-        normalizer = [s for s in range(full) if conj(rep, s) == rep]
+        # normalizer-orbit suffices; the orbit runs under the normalizer's
+        # generators.
         skip: set[frozenset[int]] = set()
         for seed, g in seeds.items():
             if seed <= rep or seed in skip:
                 continue
-            if len(normalizer) > 1:
-                skip.update(conj(seed, s) for s in normalizer)
+            skip.update(_conjugation_orbit(r, seed, normalizer_gens)[0])
             joined = gens + [g]
             register(close(joined), joined)
 
-    raw = sorted(
-        ((tuple(sorted(perms[i] for i in grp)), size) for grp, size in found),
-        key=lambda item: (len(item[0]), item[0]),
-    )
     by_order: dict[int, int] = {}
     classes = []
-    for canonical, size in raw:
+    for canonical, conjugates in sorted(found, key=lambda item: (len(item[0]), item[0])):
         by_order[len(canonical)] = by_order.get(len(canonical), 0) + 1
-        name = _class_name(r, canonical, size)
+        name = _class_name(r, canonical, len(conjugates))
         if name is None:
             name = f"order-{len(canonical)}-#{by_order[len(canonical)]}"
-        classes.append(SubgroupClass(r=r, representative=canonical, class_size=size, name=name))
+        classes.append(SubgroupClass(r=r, representative=canonical, class_size=len(conjugates),
+                                     name=name, conjugates=conjugates))
     return tuple(classes)
 
 
@@ -390,16 +406,15 @@ def maximal_avoiding_classes(r: int, pi: Perm) -> tuple[SubgroupClass, ...]:
     _check_arity(r)
     if len(pi) != r:
         raise ValueError(f"permutation arity {len(pi)} != {r}")
-    avoiding = [c for c in enumerate_subgroup_classes(r) if avoids(c.representative, pi)]
-    out = []
-    for c in avoiding:
-        dominated = any(
-            d.order > c.order and embeds_in(c.representative, d.representative, r)
-            for d in avoiding
-        )
-        if not dominated:
-            out.append(c)
-    return tuple(out)
+    index = _index_tables(r)[0]
+    avoiding = [(c, frozenset(map(index.__getitem__, c.representative)))
+                for c in enumerate_subgroup_classes(r) if avoids(c.representative, pi)]
+    # c embeds in d iff one of c's conjugates is a subset of d's representative
+    return tuple(
+        c for c, _ in avoiding
+        if not any(d.order > c.order and any(x <= members for x in c.conjugates)
+                   for d, members in avoiding)
+    )
 
 
 Color = tuple[int, Perm]

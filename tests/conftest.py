@@ -8,6 +8,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 settings.register_profile(
     "default",
     deadline=None,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")

@@ -33,6 +33,12 @@ def o_apply(p, x):
     return tuple(out)
 
 
+def o_conjugate(group, s):
+    """The subgroup s . group . s^-1."""
+    s_inv = o_inverse(s)
+    return frozenset(o_compose(s, o_compose(h, s_inv)) for h in group)
+
+
 def o_closure(gens):
     r = len(next(iter(gens)))
     members = {tuple(range(r))}
@@ -74,10 +80,7 @@ def bucket_by_conjugacy(subs, r):
     classes = []
     while remaining:
         group = next(iter(remaining))
-        orbit = set()
-        for s in perms:
-            s_inv = o_inverse(s)
-            orbit.add(frozenset(o_compose(s, o_compose(h, s_inv)) for h in group))
+        orbit = {o_conjugate(group, s) for s in perms}
         classes.append(frozenset(orbit))
         remaining -= orbit
     return classes

@@ -85,6 +85,16 @@ def test_cherry_coloring_counts():
     assert census.t_green + census.t_purple + census.t_cherry <= report.f_bound
 
 
+def test_cherry_alt_is_decided_exactly():
+    # (2*sqrt(3) - 3) * n^3 / 6 exceeds this count by about 1.04e-4; the same
+    # bound evaluated in floats rounds to below the count.
+    n, tc = 20514, 667_748_441_371
+    census = cen.TriangleCensus(n, 0, 0, tc, Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))
+    assert cen.check_color_inequalities(census, n).cherry_alt_ok
+    census = cen.TriangleCensus(n, 0, 0, tc + 1, Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))
+    assert not cen.check_color_inequalities(census, n).cherry_alt_ok
+
+
 def test_goodman_requires_purity():
     with pytest.raises(ValueError):
         cen.goodman_check(cen.cherry_coloring(2, 2))

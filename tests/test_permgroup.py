@@ -16,6 +16,7 @@ from oracles import (
     o_apply,
     o_closure,
     o_compose,
+    o_conjugate,
     o_inverse,
 )
 
@@ -250,11 +251,14 @@ def test_enumeration_against_brute_force(r):
     classes = pg.enumerate_subgroup_classes(r)
     assert len(classes) == len(oracle_classes)
 
+    perms = pg.all_perms(r)
     covered = set()
     for c in classes:
-        orbit = {pg.conjugate_group(c.representative, s) for s in pg.all_perms(r)}
+        orbit = {o_conjugate(c.representative, s) for s in perms}
         assert len(orbit) == c.class_size
-        covered |= orbit
+        conjugates = {frozenset(perms[i] for i in x) for x in c.conjugates}
+        assert conjugates == orbit
+        covered |= conjugates
     assert covered == oracle_subs
 
     oracle_shapes = sorted(
@@ -262,6 +266,14 @@ def test_enumeration_against_brute_force(r):
     )
     ours = sorted((c.order, c.class_size) for c in classes)
     assert ours == oracle_shapes
+
+
+@pytest.mark.parametrize("r", [5, 6])
+def test_stored_conjugates_fill_each_class(r):
+    perms = pg.all_perms(r)
+    for c in pg.enumerate_subgroup_classes(r):
+        assert len(c.conjugates) == c.class_size
+        assert frozenset(perms.index(p) for p in c.representative) in c.conjugates
 
 
 def test_representatives_are_subgroups_in_canonical_form():
@@ -273,7 +285,7 @@ def test_representatives_are_subgroups_in_canonical_form():
                 assert pg.inverse(a) in members
                 for b in members:
                     assert pg.compose(a, b) in members
-            orbit = {pg.conjugate_group(members, s) for s in pg.all_perms(r)}
+            orbit = {o_conjugate(members, s) for s in pg.all_perms(r)}
             least = min(orbit, key=lambda g: tuple(sorted(g)))
             assert c.representative == tuple(sorted(least))
             assert set(pg.closure(c.generators())) == set(members)
@@ -297,7 +309,7 @@ def test_avoiding_identity_is_impossible():
 @given(perms4, st.sampled_from(pg.enumerate_subgroup_classes(4)))
 def test_avoids_is_conjugation_invariant(s, cls):
     rot = pg.cyc(4)
-    assert pg.avoids(pg.conjugate_group(cls.representative, s), rot) == pg.avoids(
+    assert pg.avoids(o_conjugate(cls.representative, s), rot) == pg.avoids(
         cls.representative, rot
     )
 
@@ -318,6 +330,33 @@ def test_maximal_avoiding_class_names():
     assert pg.maximal_avoiding_classes(4, pg.perm_power(rot, 3)) == (
         pg.maximal_avoiding_classes(4, rot)
     )
+
+
+def _one_perm_per_cycle_type(r):
+    out = {}
+    for p in pg.all_perms(r):
+        out.setdefault(pg.cycle_type(p), p)
+    return list(out.values())
+
+
+NON_ROTATION_CASES = (
+    [(r, p) for r in (4, 5) for p in _one_perm_per_cycle_type(r)]
+    + [(6, pg.perm_power(pg.cyc(6), k)) for k in (1, 2, 3)]
+    + [(6, pg.parse_perm("(1 2)", 6))]
+)
+
+
+@pytest.mark.parametrize(
+    "r, pi", NON_ROTATION_CASES, ids=[f"{r}:{pg.format_perm(p)}" for r, p in NON_ROTATION_CASES]
+)
+def test_maximal_avoiding_matches_embedding_definition(r, pi):
+    avoiding = [c for c in pg.enumerate_subgroup_classes(r) if pg.avoids(c.representative, pi)]
+    want = tuple(
+        c for c in avoiding
+        if not any(d.order > c.order and pg.embeds_in(c.representative, d.representative, r)
+                   for d in avoiding)
+    )
+    assert pg.maximal_avoiding_classes(r, pi) == want
 
 
 def test_color_counts():
