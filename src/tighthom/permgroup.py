@@ -3,7 +3,8 @@
 A permutation of arity ``r`` is a plain tuple ``p`` of length ``r`` with
 ``p[i]`` the image of slot ``i``.  Acting on an ``r``-tuple ``x`` moves the
 entry in slot ``j`` to slot ``p[j]``, so ``apply_to_tuple(cyc(r), x)`` is the
-right rotation ``(x[-1], x[0], ..., x[-2])``.
+right rotation ``(x[-1], x[0], ..., x[-2])``.  Cycle types and powers are
+memoized per permutation (bounded), so ``avoids`` is one lookup per element.
 
 Subgroups of the full symmetric group on ``r`` slots are enumerated up to
 conjugacy.  Each class gets a canonical representative (the conjugate whose
@@ -62,6 +63,11 @@ def inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
+def right_mul(p: Perm):
+    """``compose(x, p)`` as ``right_mul(p)(x)``: one C-level call, a tuple at every arity."""
+    return operator.itemgetter(*p) if len(p) > 1 else tuple
+
+
 def apply_to_tuple(p: Perm, x: tuple) -> tuple:
     """Move the entry in slot ``j`` to slot ``p[j]``."""
     if len(p) != len(x):
@@ -82,6 +88,7 @@ def cyc(r: int) -> Perm:
     return tuple((i + 1) % r for i in range(r))
 
 
+@lru_cache(maxsize=1024)  # rotation powers are asked for once per verdict
 def perm_power(p: Perm, e: int) -> Perm:
     r = len(p)
     out = identity(r)
@@ -120,6 +127,7 @@ def cycles_of(p: Perm) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=8192)  # S_1..S_7 fit (5,913 perms); larger groups cannot grow it past the bound
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Sorted cycle lengths, fixed points included; conjugacy invariant."""
     return tuple(sorted(len(c) for c in cycles_of(p)))
@@ -198,16 +206,12 @@ def _close(ident, gens, act, full_size: int):
 
 
 def closure(perms) -> frozenset[Perm]:
-    """Subgroup generated by ``perms`` (the trivial group if all are the identity).
-
-    Right multiplication by a tuple ``g`` is ``itemgetter(*g)``; arity 1 has
-    only the identity, which the kernel skips before acting with it.
-    """
+    """Subgroup generated by ``perms`` (the trivial group if all are the identity)."""
     gens = [tuple(p) for p in perms]
     if not gens:
         raise ValueError("need at least one permutation to infer arity")
     r = len(gens[0])
-    members, _ = _close(identity(r), gens, lambda g: operator.itemgetter(*g), math.factorial(r))
+    members, _ = _close(identity(r), gens, right_mul, math.factorial(r))
     return frozenset(itertools.permutations(range(r)) if members is None else members)
 
 
@@ -216,7 +220,7 @@ def minimal_generators(group) -> tuple[Perm, ...]:
     sorted elements, each one not in the span of those before it."""
     elements = sorted(group)
     r = len(elements[0])
-    _, gens = _close(identity(r), elements, lambda g: operator.itemgetter(*g), math.factorial(r))
+    _, gens = _close(identity(r), elements, right_mul, math.factorial(r))
     return tuple(gens) if gens else (identity(r),)
 
 
@@ -253,8 +257,7 @@ def _index_tables(r: int):
     the inverses, and the generators ``cyc(r)`` and (1 2) of S_r."""
     perms = all_perms(r)
     index = {p: i for i, p in enumerate(perms)}
-    # compose(a, b) is itemgetter(*b)(a), one C-level call per entry
-    getters = [operator.itemgetter(*b) for b in perms]
+    getters = [right_mul(b) for b in perms]  # compose(a, b) is one C-level call
     mul = [[index[get(a)] for get in getters] for a in perms]
     inv = [index[inverse(p)] for p in perms]
     swap = (1, 0) + tuple(range(2, r))
@@ -377,8 +380,7 @@ def avoids(group, pi: Perm) -> bool:
     members = list(group)
     if any(len(h) != len(pi) for h in members):
         raise ValueError("arity mismatch between group and permutation")
-    target = cycle_type(pi)
-    return all(cycle_type(h) != target for h in members)
+    return cycle_type(pi) not in map(cycle_type, members)
 
 
 def conjugators(small, big, r: int):

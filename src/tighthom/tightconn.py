@@ -16,7 +16,11 @@ gives the potential of a new neighbour.  A step onto an edge that already has
 a potential closes a cycle and yields a Schreier generator; these generate
 the connection group ``tc``, and the orientations of ``e`` in the plain
 component are the coset ``tc . pot[e]`` (Gross & Tucker, Topological Graph
-Theory; Seress, Permutation Group Algorithms).
+Theory; Seress, Permutation Group Algorithms).  A step that puts into slot i a
+vertex of rank j among the other r - 1 moves the potential by one of r^2 fixed
+slot moves (``_slot_moves``, a ``right_mul`` per (i, j) and arity), and a closed
+cycle's generator is one getter, kept per edge, of the inverse potential; the
+potentials and generators are those of sorting and reordering the new edge.
 
 A tight walk of stretch s appends s vertices to a start window, every
 intermediate width-r window being an edge with distinct vertices.  Closed
@@ -36,11 +40,12 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .hypergraph import Edge, Hypergraph
 from .permgroup import (
     Perm, apply_to_tuple, avoids, closure, compose, cyc, embeds_in, identity, inverse, perm_power,
-    reorder_perm,
+    reorder_perm, right_mul,
 )
 
 Oriented = tuple[int, ...]
@@ -82,37 +87,48 @@ class TightComponent:
         return tuple(e for e, _ in self.potentials)
 
 
+@lru_cache(maxsize=None)
+def _slot_moves(r: int):
+    """``moves[i][j](pe)`` is ``compose(pe, reorder_perm(f, y))`` when ``y`` puts into
+    slot ``i`` of a sorted edge a vertex of rank ``j`` among the ``r - 1`` others,
+    and ``f`` is ``y`` sorted: the vertex sits at ``j`` of ``f``, the others in order."""
+    slots = [[t if t < i else t + 1 for t in range(r - 1)] for i in range(r)]  # the others' in y
+    return [[right_mul(s[:j] + [i] + s[j:]) for j in range(r)] for i, s in enumerate(slots)]
+
+
 def _gain_components(g: Hypergraph) -> tuple[TightComponent, ...]:
     ident = identity(g.r)
-    pot: dict[Edge, Perm] = {}
+    moves = _slot_moves(g.r)
+    completions = g.completions
+    inv_of = {}  # per reached edge, the getter composing with its inverse potential
     out = []
     for root in g.edges:
-        if root in pot:
+        if root in inv_of:
             continue
-        pot[root] = ident
-        edges = [root]
+        inv_of[root] = right_mul(ident)
+        reached = [(root, ident)]
         gens = {ident}
-        stack = [root]
+        stack = [(root, ident)]
         while stack:
-            e = stack.pop()
-            pe = pot[e]
+            e, pe = stack.pop()
             for i, v in enumerate(e):
-                for w in g.completions(e[:i] + e[i + 1 :]):
+                face = e[:i] + e[i + 1 :]
+                row = moves[i]
+                for w in completions(face):
                     if w == v:
                         continue
-                    y = e[:i] + (w,) + e[i + 1 :]
-                    f = tuple(sorted(y))
-                    q = compose(pe, reorder_perm(f, y))
-                    pf = pot.get(f)
-                    if pf is None:
-                        pot[f] = q
-                        edges.append(f)
-                        stack.append(f)
+                    j = bisect_left(face, w)
+                    f = face[:j] + (w,) + face[j:]
+                    q = row[j](pe)
+                    inv = inv_of.get(f)
+                    if inv is None:
+                        inv_of[f] = right_mul(inverse(q))
+                        reached.append((f, q))
+                        stack.append((f, q))
                     else:
                         # a closed cycle: its voltage lies in the connection group
-                        gens.add(compose(q, inverse(pf)))
-        potentials = tuple((f, pot[f]) for f in sorted(edges))
-        out.append(TightComponent(root, potentials, closure(gens)))
+                        gens.add(inv(q))
+        out.append(TightComponent(root, tuple(sorted(reached)), closure(gens)))
     return tuple(out)
 
 
