@@ -5,8 +5,9 @@ directed red, undirected blue, undirected green, or directed purple. The
 census counts green triangles, purple directed 3-cycles, and cherries (a
 blue base whose endpoints both point red at a common apex), converts the
 tag frequencies to exact rational densities, and checks the six bounds
-those counts satisfy. The same densities drive the scalar objectives
-``eval_g`` / ``eval_f`` and a certified grid maximizer, alongside the
+those counts satisfy, counting on per-vertex int bitset rows. The same
+densities drive the scalar objectives ``eval_g`` / ``eval_f`` and a
+certified grid maximizer over one precomputed exact grid, alongside the
 closed-form extremal count ``e_opt`` and a few small exact checks.
 """
 
@@ -27,9 +28,16 @@ PURPLE = "purple"
 
 Pair = tuple[int, int]
 
+# shared undirected values, accepted by identity in the coloring check
+_BLUE = (BLUE,)
+_GREEN = (GREEN,)
+
 # derivative budget of f along the scanned coordinates (alpha, gamma, delta)
 # with beta eliminated: 9 + 4.5 + 9, see maximize_f_on_R
 _SCAN_LIPSCHITZ = 22.5
+
+# largest coarse grid maximize_f_on_R scans: step 1/200 has 117,912 points, 1/400 915,823
+FOPT_MAX_GRID_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -40,19 +48,26 @@ class EdgeColoring2:
     colors: dict[Pair, tuple]
 
     def __post_init__(self):
-        pairs = set(itertools.combinations(range(self.n), 2))
-        if set(self.colors) != pairs:
+        if len(self.colors) != math.comb(max(self.n, 0), 2):
             raise ValueError("every unordered pair needs exactly one color")
+        # with the count right, keys 0 <= u < v < n are all C(n,2) pairs; a bad key wins
+        problem = None
         for (u, v), val in self.colors.items():
+            if not 0 <= u < v < self.n:
+                raise ValueError("every unordered pair needs exactly one color")
+            if val is _BLUE or val is _GREEN or problem:
+                continue
             tag = val[0]
             if tag in (BLUE, GREEN):
                 if val != (tag,):
-                    raise ValueError(f"undirected tag {tag} takes no endpoints")
+                    problem = f"undirected tag {tag} takes no endpoints"
             elif tag in (RED, PURPLE):
                 if len(val) != 3 or {val[1], val[2]} != {u, v}:
-                    raise ValueError(f"directed tag on {(u, v)} must orient that pair")
+                    problem = f"directed tag on {(u, v)} must orient that pair"
             else:
-                raise ValueError(f"unknown tag {tag!r}")
+                problem = f"unknown tag {tag!r}"
+        if problem:
+            raise ValueError(problem)
 
     def value(self, u: int, v: int) -> tuple:
         return self.colors[(u, v) if u < v else (v, u)]
@@ -88,9 +103,9 @@ def random_edge_coloring(n: int, seed) -> EdgeColoring2:
     for u, v in itertools.combinations(range(n), 2):
         roll = rng.randrange(6)
         if roll == 0:
-            colors[(u, v)] = (BLUE,)
+            colors[(u, v)] = _BLUE
         elif roll == 1:
-            colors[(u, v)] = (GREEN,)
+            colors[(u, v)] = _GREEN
         elif roll < 4:
             colors[(u, v)] = (RED, u, v) if roll == 2 else (RED, v, u)
         else:
@@ -104,9 +119,9 @@ def cherry_coloring(a: int, b: int) -> EdgeColoring2:
     colors = {}
     for u, v in itertools.combinations(range(a + b), 2):
         if v < a:
-            colors[(u, v)] = (BLUE,)
+            colors[(u, v)] = _BLUE
         elif u >= a:
-            colors[(u, v)] = (GREEN,)
+            colors[(u, v)] = _GREEN
         else:
             colors[(u, v)] = (RED, u, v)
     return EdgeColoring2(n=a + b, colors=colors)
@@ -181,35 +196,27 @@ def count_triangle_types(c: EdgeColoring2) -> TriangleCensus:
     """
     if c.n < 2:
         raise ValueError("densities need at least one pair, so n >= 2")
-    gadj = {v: set() for v in range(c.n)}
-    rout = {v: set() for v in range(c.n)}
-    pout = {v: set() for v in range(c.n)}
-    pin = {v: set() for v in range(c.n)}
-    blues = []
-    counts = {RED: 0, BLUE: 0, GREEN: 0, PURPLE: 0}
+    # neighbourhood rows as int bitsets: a triangle on a pair is a bit of the AND of two rows
+    green, rout, pout, pin = ([0] * c.n for _ in range(4))
+    greens, blues, purples = [], [], []
     for (u, v), val in c.colors.items():
-        counts[val[0]] += 1
         if val[0] == GREEN:
-            gadj[u].add(v)
-            gadj[v].add(u)
+            green[u] |= 1 << v
+            green[v] |= 1 << u
+            greens.append((u, v))
         elif val[0] == BLUE:
             blues.append((u, v))
         elif val[0] == RED:
-            rout[val[1]].add(val[2])
+            rout[val[1]] |= 1 << val[2]
         else:
-            pout[val[1]].add(val[2])
-            pin[val[2]].add(val[1])
+            pout[val[1]] |= 1 << val[2]
+            pin[val[2]] |= 1 << val[1]
+            purples.append(val[1:])
 
-    t_green = sum(
-        1
-        for u in range(c.n)
-        for v in gadj[u]
-        if v > u
-        for w in gadj[u] & gadj[v]
-        if w > v
-    )
-    t_cherry = sum(len(rout[y] & rout[z]) for y, z in blues)
-    t_purple = sum(len(pout[v] & pin[u]) for u in pout for v in pout[u]) // 3
+    # each green triangle and each purple 3-cycle is seen from all three sides
+    t_green = sum((green[u] & green[v]).bit_count() for u, v in greens) // 3
+    t_cherry = sum((rout[y] & rout[z]).bit_count() for y, z in blues)
+    t_purple = sum((pout[v] & pin[u]).bit_count() for u, v in purples) // 3
 
     pairs = math.comb(c.n, 2)
     return TriangleCensus(
@@ -217,10 +224,10 @@ def count_triangle_types(c: EdgeColoring2) -> TriangleCensus:
         t_green=t_green,
         t_purple=t_purple,
         t_cherry=t_cherry,
-        alpha=Fraction(counts[RED], 2 * pairs),
-        beta=Fraction(counts[BLUE], pairs),
-        gamma=Fraction(counts[GREEN], pairs),
-        delta=Fraction(counts[PURPLE], 2 * pairs),
+        alpha=Fraction(pairs - len(greens) - len(blues) - len(purples), 2 * pairs),
+        beta=Fraction(len(blues), pairs),
+        gamma=Fraction(len(greens), pairs),
+        delta=Fraction(len(purples), 2 * pairs),
     )
 
 
@@ -344,7 +351,8 @@ def eval_g(alpha, beta, gamma) -> float:
     x*sqrt(x) so the quarter/half arguments of the extremal point come out
     exact. The harmonic term is 0 by convention when alpha + beta = 0.
     """
-    _require_nonnegative(alpha=alpha, beta=beta, gamma=gamma)
+    if alpha < 0 or beta < 0 or gamma < 0:
+        _require_nonnegative(alpha=alpha, beta=beta, gamma=gamma)
     a, b, g = float(alpha), float(beta), float(gamma)
     harmonic = 0.0 if a + b == 0 else 3 * a * b / (a + b)
     return g * math.sqrt(g) + min(0.465, harmonic, 3 * a * math.sqrt(b))
@@ -352,10 +360,16 @@ def eval_g(alpha, beta, gamma) -> float:
 
 def eval_f(alpha, beta, gamma, delta) -> float:
     """min(2*delta^(3/2) + g, 1/4 + 3/4*g) for g = eval_g(alpha, beta, gamma)."""
-    _require_nonnegative(delta=delta)
+    if delta < 0:
+        _require_nonnegative(delta=delta)
     g = eval_g(alpha, beta, gamma)
     d = float(delta)
     return min(2 * d * math.sqrt(d) + g, 0.25 + 0.75 * g)
+
+
+def _coarse_grid_points(top: int) -> int:
+    """#{(i, j, d) >= 0 : j <= i, 2i + j + 2d <= top}, the coarse scan at step 1/top, in closed form."""
+    return (top**3 + 12 * top**2 + (39 * top + 64 if top % 2 else 48 * top + 100)) // 72
 
 
 def maximize_f_on_R(step, refinements: int = 2, region=None):
@@ -369,7 +383,7 @@ def maximize_f_on_R(step, refinements: int = 2, region=None):
     budget 3 per density coordinate, 1.5 in gamma, doubled through beta for
     alpha and delta). ``region`` optionally restricts the scan to points
     where region(a, b, g, d) is true; the certificate then covers only that
-    subregion.
+    subregion. A coarse grid over ``FOPT_MAX_GRID_POINTS`` is refused up front.
 
     Returns (best value, best point as exact fractions, certificate dict).
     """
@@ -378,30 +392,34 @@ def maximize_f_on_R(step, refinements: int = 2, region=None):
         raise ValueError("step must be positive")
     if step > Fraction(1, 4):
         raise ValueError("step above 1/4 cannot see the interior")
+    if refinements < 0:
+        raise ValueError(f"refinements must be nonnegative, got {refinements}")
+    top = int(1 / step)
+    if (points := _coarse_grid_points(top)) > FOPT_MAX_GRID_POINTS:
+        raise ValueError(f"step {step} scans {points:,} coarse grid points, over {FOPT_MAX_GRID_POINTS=:,}")
 
     evaluations = 0
     best = -1.0
     best_point = None
 
-    # coarse pass over exact grid multiples, floats precomputed once
-    top = int(1 / step)
-    val = [float(i * step) for i in range(top + 1)]
-    rem = [float(1 - m * step) for m in range(top + 1)]
+    # coarse pass: each coordinate is a shared exact multiple with its float precomputed
+    exact = [i * step for i in range(top + 1)]
+    exact_rem = [1 - x for x in exact]
+    val, rem = [float(x) for x in exact], [float(x) for x in exact_rem]
     for i in range(top // 2 + 1):
-        a = val[i]
+        a, ea = val[i], exact[i]
         for j in range(min(i, top - 2 * i) + 1):
-            g = val[j]
+            g, eg = val[j], exact[j]
             m0 = 2 * i + j
             for d in range((top - m0) // 2 + 1):
-                if region is not None and not region(
-                    i * step, 1 - (m0 + 2 * d) * step, j * step, d * step
-                ):
+                m = m0 + 2 * d
+                if region is not None and not region(ea, exact_rem[m], eg, exact[d]):
                     continue
-                f = eval_f(a, rem[m0 + 2 * d], g, val[d])
+                f = eval_f(a, rem[m], g, val[d])
                 evaluations += 1
                 if f > best:
                     best = f
-                    best_point = (i * step, 1 - (m0 + 2 * d) * step, j * step, d * step)
+                    best_point = (ea, exact_rem[m], eg, exact[d])
 
     if best_point is None:
         raise ValueError("region excludes every grid point")
@@ -411,14 +429,19 @@ def maximize_f_on_R(step, refinements: int = 2, region=None):
     for _ in range(refinements):
         prev, cur = cur, cur / 10
         a0, _, g0, d0 = best_point
-        for a in _frange(a0 - prev, a0 + prev, cur):
-            for g in _frange(g0 - prev, g0 + prev, cur):
-                if g > a or 2 * a + g > 1:
+        a_axis, g_axis, d_axis = (
+            [k * cur for k in range(max(0, math.ceil((x - prev) / cur)), math.floor((x + prev) / cur) + 1)]
+            for x in (a0, g0, d0)
+        )
+        for a in a_axis:
+            for g in g_axis:
+                rest = 1 - 2 * a - g
+                if g > a or rest < 0:
                     continue
-                for d in _frange(d0 - prev, d0 + prev, cur):
-                    b = 1 - 2 * a - g - 2 * d
+                for d in d_axis:
+                    b = rest - 2 * d
                     if b < 0:
-                        continue
+                        break
                     if region is not None and not region(a, b, g, d):
                         continue
                     f = eval_f(float(a), float(b), float(g), float(d))
@@ -436,13 +459,6 @@ def maximize_f_on_R(step, refinements: int = 2, region=None):
         "gap": upper - best,
     }
     return best, best_point, certificate
-
-
-def _frange(lo: Fraction, hi: Fraction, step: Fraction):
-    i = max(0, math.ceil(lo / step))
-    while i * step <= hi:
-        yield i * step
-        i += 1
 
 
 def e_opt(n: int) -> tuple[int, list[tuple[int, int]]]:

@@ -38,6 +38,14 @@ def _parse_vertices(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """Exact rational from '3/200' or '0.18'; ValueError on a zero denominator."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _parse_residues(text: str, r: int) -> tuple[int, ...]:
     if text == "all":
         return tuple(range(1, r))
@@ -246,8 +254,8 @@ def _cmd_census(args):
 
 
 def _region_predicate(args):
-    g2d_max = Fraction(args.gamma2delta_max) if args.gamma2delta_max else None
-    d_min = Fraction(args.delta_min) if args.delta_min else None
+    g2d_max = _parse_fraction(args.gamma2delta_max) if args.gamma2delta_max else None
+    d_min = _parse_fraction(args.delta_min) if args.delta_min else None
     if g2d_max is None and d_min is None:
         return None
 
@@ -261,7 +269,7 @@ def _region_predicate(args):
 
 def _cmd_fopt(args):
     best, point, certificate = cen.maximize_f_on_R(
-        Fraction(args.step), refinements=args.refinements, region=_region_predicate(args)
+        _parse_fraction(args.step), refinements=args.refinements, region=_region_predicate(args)
     )
     names = ("alpha", "beta", "gamma", "delta")
     lines = [
@@ -320,7 +328,7 @@ def _cmd_search(args):
 
 def _cmd_prune(args):
     g = _load_graph(args.input)
-    pruned, deleted = ext.prune_low_codegree(g, Fraction(args.eps))
+    pruned, deleted = ext.prune_low_codegree(g, _parse_fraction(args.eps))
     lines = [f"deleted {deleted} of {len(g.edges)} edges; fixpoint has {len(pruned.edges)} edges"]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -341,7 +349,8 @@ def _cmd_prune(args):
 def _cmd_epsclose(args):
     g = _load_graph(args.input)
     t = _load_triples(args.triples, g.n)
-    report = ext.check_eps_close(g, _parse_vertices(args.a), _parse_vertices(args.b), t, Fraction(args.eps))
+    eps = _parse_fraction(args.eps)
+    report = ext.check_eps_close(g, _parse_vertices(args.a), _parse_vertices(args.b), t, eps)
     lines = [f"eps-close: {str(report.is_close).lower()} (eps={report.epsilon})"]
     for tri in report.violations_1:
         lines.append("violation extension " + " ".join(map(str, tri)))
@@ -376,7 +385,7 @@ def _cmd_walk(args):
         _parse_vertices(args.a),
         _parse_vertices(args.b),
         t,
-        Fraction(args.eps),
+        _parse_fraction(args.eps),
         (_parse_vertices(args.start), _parse_vertices(args.end)),
         _parse_pattern(args.pattern),
     )

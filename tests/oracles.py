@@ -372,3 +372,32 @@ def o_max_hom_free(n, r, residues):
             elif len(edges) == best:
                 winners.append(edges)
     return best, tuple(sorted(tuple(sorted(w)) for w in winners))
+
+
+# ---------------------------------------------------------------------------
+# triangle census of four-tag pair colorings
+
+
+def o_triangle_counts(n, colors):
+    """(green triangles, purple 3-cycles, cherries) by classifying every triple.
+
+    ``colors`` maps each pair (u, v), u < v, to ("blue",), ("green",),
+    ("red", tail, head) or ("purple", tail, head). A cherry is a blue base
+    whose two endpoints both point red at the third vertex.
+    """
+    tg = tp = tc = 0
+    for x, y, z in itertools.combinations(range(n), 3):
+        vals = {frozenset(p): colors[p] for p in ((x, y), (x, z), (y, z))}
+        if all(v == ("green",) for v in vals.values()):
+            tg += 1
+        if all(v[0] == "purple" for v in vals.values()):
+            heads = [v[2] for v in vals.values()]
+            if sorted(heads) == [x, y, z]:  # each vertex entered once
+                tp += 1
+        for apex in (x, y, z):
+            base = tuple(v for v in (x, y, z) if v != apex)
+            if vals[frozenset(base)] == ("blue",) and all(
+                vals[frozenset((b, apex))] == ("red", b, apex) for b in base
+            ):
+                tc += 1
+    return tg, tp, tc

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tighthom import census as cen
@@ -13,25 +15,7 @@ from tighthom.hypergraph import (
     tight_cycle,
 )
 
-
-def naive_triangle_counts(c: cen.EdgeColoring2):
-    """O(n^3) reference: classify every triple by its three pair values."""
-    tg = tp = tc = 0
-    for x, y, z in itertools.combinations(range(c.n), 3):
-        vals = {frozenset(p): c.value(*p) for p in ((x, y), (x, z), (y, z))}
-        if all(v == (cen.GREEN,) for v in vals.values()):
-            tg += 1
-        if all(v[0] == cen.PURPLE for v in vals.values()):
-            heads = [v[2] for v in vals.values()]
-            if sorted(heads) == sorted((x, y, z)):  # each vertex entered once
-                tp += 1
-        for apex in (x, y, z):
-            base = tuple(v for v in (x, y, z) if v != apex)
-            if vals[frozenset(base)] == (cen.BLUE,) and all(
-                vals[frozenset((b, apex))] == (cen.RED, b, apex) for b in base
-            ):
-                tc += 1
-    return tg, tp, tc
+from oracles import o_triangle_counts
 
 
 def all_colorings(n):
@@ -111,6 +95,30 @@ def test_coloring_validation():
         cen.EdgeColoring2(2, {(0, 1): ("mauve",)})
 
 
+@pytest.mark.parametrize(
+    "colors",
+    [
+        {(0, 1): (cen.BLUE,), (0, 2): (cen.BLUE,), (2, 1): (cen.BLUE,)},  # reversed key
+        {(0, 1): (cen.BLUE,), (0, 2): (cen.BLUE,), (0, 0): (cen.BLUE,)},  # self-pair
+        {(0, 1): (cen.BLUE,), (0, 2): (cen.BLUE,), (1, 3): (cen.BLUE,)},  # vertex >= n
+        {(0, 1): (cen.BLUE,), (0, 2): (cen.BLUE,), (-1, 2): (cen.BLUE,)},  # negative vertex
+        {(0, 1): (cen.RED, 0, 2), (0, 2): (cen.BLUE,), (1, 2): (cen.BLUE,)},  # orients (0, 2)
+        {(0, 1): (cen.PURPLE, 1, 1), (0, 2): (cen.BLUE,), (1, 2): (cen.BLUE,)},
+        # a bad key outranks a bad value that comes first
+        {(0, 1): ("mauve",), (0, 2): (cen.BLUE,), (2, 1): (cen.BLUE,)},
+    ],
+)
+def test_coloring_validation_checks_each_key_and_value(colors):
+    # the pair count is right in every case, so only the per-pair checks can refuse
+    assert len(colors) == math.comb(3, 2)
+    with pytest.raises(ValueError) as err:
+        cen.EdgeColoring2(3, colors)
+    if all(0 <= u < v < 3 for u, v in colors):
+        assert "must orient that pair" in str(err.value)
+    else:
+        assert str(err.value) == "every unordered pair needs exactly one color"
+
+
 def test_text_round_trip():
     c = cen.random_edge_coloring(7, 11)
     assert cen.edge_coloring_from_text(cen.edge_coloring_to_text(c)) == c
@@ -120,17 +128,67 @@ def test_text_round_trip():
 def test_random_census_matches_naive_and_passes(seed):
     c = cen.random_edge_coloring(5 + seed % 4, seed)
     census = cen.count_triangle_types(c)
-    assert (census.t_green, census.t_purple, census.t_cherry) == naive_triangle_counts(c)
+    assert (census.t_green, census.t_purple, census.t_cherry) == o_triangle_counts(c.n, c.colors)
     assert 2 * census.alpha + census.beta + census.gamma + 2 * census.delta == 1
     report = cen.check_color_inequalities(census, c.n)
     assert report.all_ok
     assert report.triangles_total <= report.f_bound
 
 
+TAGS = (cen.BLUE, cen.GREEN, cen.RED, cen.PURPLE)
+
+
+@st.composite
+def pair_colorings(draw):
+    """Colorings of n <= 14 vertices over a drawn subset of the tags (often one)."""
+    n = draw(st.integers(2, 14))
+    tags = sorted(draw(st.sets(st.sampled_from(TAGS), min_size=1)))
+    pairs = list(itertools.combinations(range(n), 2))
+    choices = draw(
+        st.lists(
+            st.tuples(st.sampled_from(tags), st.booleans()),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    colors = {}
+    for (u, v), (tag, forward) in zip(pairs, choices):
+        colors[(u, v)] = (tag,) if tag in (cen.BLUE, cen.GREEN) else (
+            (tag, u, v) if forward else (tag, v, u)
+        )
+    return cen.EdgeColoring2(n, colors)
+
+
+@settings(max_examples=150)
+@given(pair_colorings())
+@example(cen.EdgeColoring2(2, {(0, 1): (cen.GREEN,)}))
+@example(cen.EdgeColoring2(2, {(0, 1): (cen.PURPLE, 1, 0)}))
+@example(cen.EdgeColoring2(6, {p: (cen.GREEN,) for p in itertools.combinations(range(6), 2)}))
+@example(cen.EdgeColoring2(6, {p: (cen.BLUE,) for p in itertools.combinations(range(6), 2)}))
+@example(cen.EdgeColoring2(6, {(u, v): (cen.RED, v, u) for u, v in itertools.combinations(range(6), 2)}))
+@example(cen.purple_tournament_coloring(7, rotational_tournament(7)))
+@example(cen.cherry_coloring(5, 4))
+def test_bitset_census_matches_oracle(c):
+    census = cen.count_triangle_types(c)
+    assert (census.t_green, census.t_purple, census.t_cherry) == o_triangle_counts(c.n, c.colors)
+    pairs = math.comb(c.n, 2)
+    tags = [val[0] for val in c.colors.values()]
+    assert census.alpha * 2 * pairs == tags.count(cen.RED)
+    assert census.beta * pairs == tags.count(cen.BLUE)
+    assert census.gamma * pairs == tags.count(cen.GREEN)
+    assert census.delta * 2 * pairs == tags.count(cen.PURPLE)
+
+
+@pytest.mark.parametrize("n", range(3, 122, 2))
+def test_rotational_tournament_has_the_most_cyclic_triangles(n):
+    census = cen.count_triangle_types(cen.purple_tournament_coloring(n, rotational_tournament(n)))
+    assert census.t_purple == (n**3 - n) // 24
+
+
 def test_exhaustive_n3_census():
     for c in all_colorings(3):
         census = cen.count_triangle_types(c)
-        assert (census.t_green, census.t_purple, census.t_cherry) == naive_triangle_counts(c)
+        assert (census.t_green, census.t_purple, census.t_cherry) == o_triangle_counts(c.n, c.colors)
         assert cen.check_color_inequalities(census, 3).all_ok
 
 
@@ -203,6 +261,56 @@ def test_maximizer_respects_regions():
         cen.maximize_f_on_R(Fraction(1, 40), region=lambda a, b, g, d: False)
     with pytest.raises(ValueError):
         cen.maximize_f_on_R(0)
+
+
+LOW_PURPLE, FAR_PURPLE = Fraction(1, 10), Fraction(18, 100)
+PIN_REGIONS = (
+    None,
+    lambda a, b, g, d: g + 2 * d <= LOW_PURPLE,
+    lambda a, b, g, d: d >= FAR_PURPLE,
+    lambda a, b, g, d: g == a,
+)
+# sha256 of repr([(repr(best), [str(x) for x in point], sorted(cert.items()))])
+# over the cases below, in that order, captured before the exact-grid scan
+FOPT_PIN = "63c14bdbfa5323665213c2526dedc0ab2377c31403d953a615bcb3b59d212a4e"
+
+
+def test_fopt_is_pinned():
+    records = []
+    for step in (Fraction(1, 20), Fraction(1, 40), Fraction(3, 200), Fraction(1, 200)):
+        for refinements in (0, 1, 2):
+            for region in PIN_REGIONS:
+                best, point, cert = cen.maximize_f_on_R(step, refinements=refinements, region=region)
+                records.append((repr(best), [str(x) for x in point], sorted(cert.items())))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == FOPT_PIN
+
+
+def test_coarse_grid_points_counts_the_scan():
+    for top in range(61):
+        brute = sum(
+            1
+            for i in range(top + 1)
+            for j in range(i + 1)
+            for d in range(top + 1)
+            if 2 * i + j + 2 * d <= top
+        )
+        assert cen._coarse_grid_points(top) == brute
+    for step in (Fraction(1, 20), Fraction(3, 200), Fraction(1, 7)):
+        _, _, cert = cen.maximize_f_on_R(step, refinements=0)
+        assert cert["evaluations"] == cen._coarse_grid_points(int(1 / step))
+
+
+def test_fopt_refuses_bad_arguments_up_front():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="FOPT_MAX_GRID_POINTS"):
+        cen.maximize_f_on_R(Fraction(1, 100000))
+    with pytest.raises(ValueError, match="FOPT_MAX_GRID_POINTS"):
+        cen.maximize_f_on_R(Fraction(1, 10**30))
+    with pytest.raises(ValueError, match="refinements must be nonnegative"):
+        cen.maximize_f_on_R(Fraction(1, 40), refinements=-1)
+    assert time.perf_counter() - start < 1
+    # the finest step the tests, bench and demos use stays inside the budget
+    assert cen._coarse_grid_points(200) <= cen.FOPT_MAX_GRID_POINTS
 
 
 def test_e_opt_small_values():

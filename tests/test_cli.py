@@ -199,6 +199,36 @@ def test_fopt_golden_and_restricted_regimes():
     assert far.startswith("max=0.44833833492075")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fopt", "--step", "1/0"), "'1/0' has a zero denominator"),
+        (("fopt", "--step", "1/40", "--delta-min", "1/0"), "'1/0' has a zero denominator"),
+        (("fopt", "--step", "1/40", "--gamma2delta-max", "1/0"), "'1/0' has a zero denominator"),
+        (("fopt", "--step", "1/40", "--refinements", "-1"), "refinements must be nonnegative"),
+        (("fopt", "--step", "1/100000"), "coarse grid points, over FOPT_MAX_GRID_POINTS=1,000,000"),
+    ],
+)
+def test_fopt_bad_arguments_exit_2(argv, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tighthom.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+def test_eps_zero_denominator_exits_2(tmp_path):
+    path = tmp_path / "c9.hg"
+    run_cli("gen", "tight-cycle", "--r", "4", "--ell", "9", "--output", str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tighthom.cli", "prune", "--input", str(path), "--eps", "2/0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: '2/0' has a zero denominator\n"
+
+
 EOPT_UPTO8 = """\
 e_opt(4) = 1 splits: (3,1)
 e_opt(5) = 4 splits: (4,1)
