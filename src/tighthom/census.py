@@ -7,7 +7,7 @@ blue base whose endpoints both point red at a common apex), converts the
 tag frequencies to exact rational densities, and checks the six bounds
 those counts satisfy, counting on per-vertex int bitset rows. The same
 densities drive the scalar objectives ``eval_g`` / ``eval_f`` and a
-certified grid maximizer over one precomputed exact grid, alongside the
+certified grid maximizer, one exact-grid scan per pass, alongside the
 closed-form extremal count ``e_opt`` and a few small exact checks.
 """
 
@@ -38,6 +38,17 @@ _SCAN_LIPSCHITZ = 22.5
 
 # largest coarse grid maximize_f_on_R scans: step 1/200 has 117,912 points, 1/400 915,823
 FOPT_MAX_GRID_POINTS = 1_000_000
+
+# finest final step maximize_f_on_R accepts: below it, float f at grid points
+# about 1e-14 apart rounds above the true maximum 1/2
+FOPT_MIN_STEP = Fraction(1, 10**12)
+
+
+def as_fraction(x) -> Fraction:
+    """Exact rational; a float is read at its shortest decimal, so ``0.1`` is one tenth."""
+    if isinstance(x, float):
+        return Fraction(str(x))
+    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -372,22 +383,52 @@ def _coarse_grid_points(top: int) -> int:
     return (top**3 + 12 * top**2 + (39 * top + 64 if top % 2 else 48 * top + 100)) // 72
 
 
+def _scan(unit, box, region, best, best_point, evaluations):
+    """Scan the points (i, j, d)*unit of ``box`` (index ranges for alpha, gamma, delta, in that
+    order) with j <= i and 2i + j + 2d <= 1/unit; the first strict maximum of f wins."""
+    top = math.floor(1 / unit)
+    (ilo, ihi), (jlo, jhi), (dlo, dhi) = box
+    mlo = 2 * ilo + jlo + 2 * dlo
+    # each axis and the remainder 1 - m*unit are exact multiples with their floats computed once
+    exact = [[k * unit for k in range(lo, hi + 1)] for lo, hi in box]
+    exact.append([1 - m * unit for m in range(mlo, min(top, 2 * ihi + jhi + 2 * dhi) + 1)])
+    xa, xg, xd, xr = exact
+    fa, fg, fd, fr = ([float(x) for x in axis] for axis in exact)
+    # indices are offsets from the box corner, so the remainder's is 2i + j + 2d
+    for i in range(ihi - ilo + 1):
+        a, ea, free = fa[i], xa[i], top - 2 * (ilo + i)
+        for j in range(min(jhi, ilo + i, free) - jlo + 1):
+            g, eg, m0 = fg[j], xg[j], 2 * i + j
+            for d in range(min(dhi, (free - jlo - j) // 2) - dlo + 1):
+                m = m0 + 2 * d
+                if region is not None and not region(ea, xr[m], eg, xd[d]):
+                    continue
+                f = eval_f(a, fr[m], g, fd[d])
+                evaluations += 1
+                if f > best:
+                    best = f
+                    best_point = (ea, xr[m], eg, xd[d])
+    return best, best_point, evaluations
+
+
 def maximize_f_on_R(step, refinements: int = 2, region=None):
     """Grid-maximize f over {a,b,c,d >= 0, 2a+b+c+2d = 1, c <= a}.
 
     Scans (alpha, gamma, delta) at the given resolution with beta eliminated,
-    then refines twice around the incumbent at a tenth of the step. The
-    certificate's upper bound comes from the full coarse scan only: any
-    feasible point has a grid point within ``step`` below it in each
-    coordinate, and f moves at most 22.5*step across that box (derivative
-    budget 3 per density coordinate, 1.5 in gamma, doubled through beta for
-    alpha and delta). ``region`` optionally restricts the scan to points
-    where region(a, b, g, d) is true; the certificate then covers only that
-    subregion. A coarse grid over ``FOPT_MAX_GRID_POINTS`` is refused up front.
+    then runs the same scan ``refinements`` times, each at a tenth of the last
+    step over one last step around the incumbent. The certificate's upper
+    bound comes from the full coarse scan only: any feasible point has a grid
+    point within ``step`` below it in each coordinate, and f moves at most
+    22.5*step across that box (derivative budget 3 per density coordinate,
+    1.5 in gamma, doubled through beta for alpha and delta). ``region``
+    optionally restricts the scan to points where region(a, b, g, d) is true;
+    the certificate then covers only that subregion. A coarse grid over
+    ``FOPT_MAX_GRID_POINTS`` or a final step under ``FOPT_MIN_STEP`` is
+    refused up front; a float step is read at its shortest decimal.
 
     Returns (best value, best point as exact fractions, certificate dict).
     """
-    step = Fraction(step)
+    step = as_fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
     if step > Fraction(1, 4):
@@ -397,30 +438,11 @@ def maximize_f_on_R(step, refinements: int = 2, region=None):
     top = int(1 / step)
     if (points := _coarse_grid_points(top)) > FOPT_MAX_GRID_POINTS:
         raise ValueError(f"step {step} scans {points:,} coarse grid points, over {FOPT_MAX_GRID_POINTS=:,}")
+    # any() stops at the first pass below the floor, within 13 passes as step <= 1/4
+    if any(step / 10**k < FOPT_MIN_STEP for k in range(refinements + 1)):
+        raise ValueError(f"final step {step} / 10**{refinements} is below {FOPT_MIN_STEP=!s}")
 
-    evaluations = 0
-    best = -1.0
-    best_point = None
-
-    # coarse pass: each coordinate is a shared exact multiple with its float precomputed
-    exact = [i * step for i in range(top + 1)]
-    exact_rem = [1 - x for x in exact]
-    val, rem = [float(x) for x in exact], [float(x) for x in exact_rem]
-    for i in range(top // 2 + 1):
-        a, ea = val[i], exact[i]
-        for j in range(min(i, top - 2 * i) + 1):
-            g, eg = val[j], exact[j]
-            m0 = 2 * i + j
-            for d in range((top - m0) // 2 + 1):
-                m = m0 + 2 * d
-                if region is not None and not region(ea, exact_rem[m], eg, exact[d]):
-                    continue
-                f = eval_f(a, rem[m], g, val[d])
-                evaluations += 1
-                if f > best:
-                    best = f
-                    best_point = (ea, exact_rem[m], eg, exact[d])
-
+    best, best_point, evaluations = _scan(step, ((0, top // 2),) * 3, region, -1.0, None, 0)
     if best_point is None:
         raise ValueError("region excludes every grid point")
     upper = best + _SCAN_LIPSCHITZ * float(step)
@@ -429,26 +451,8 @@ def maximize_f_on_R(step, refinements: int = 2, region=None):
     for _ in range(refinements):
         prev, cur = cur, cur / 10
         a0, _, g0, d0 = best_point
-        a_axis, g_axis, d_axis = (
-            [k * cur for k in range(max(0, math.ceil((x - prev) / cur)), math.floor((x + prev) / cur) + 1)]
-            for x in (a0, g0, d0)
-        )
-        for a in a_axis:
-            for g in g_axis:
-                rest = 1 - 2 * a - g
-                if g > a or rest < 0:
-                    continue
-                for d in d_axis:
-                    b = rest - 2 * d
-                    if b < 0:
-                        break
-                    if region is not None and not region(a, b, g, d):
-                        continue
-                    f = eval_f(float(a), float(b), float(g), float(d))
-                    evaluations += 1
-                    if f > best:
-                        best = f
-                        best_point = (a, b, g, d)
+        box = tuple((max(0, math.ceil((x - prev) / cur)), math.floor((x + prev) / cur)) for x in (a0, g0, d0))
+        best, best_point, evaluations = _scan(cur, box, region, best, best_point, evaluations)
 
     certificate = {
         "step": str(step),
@@ -487,8 +491,8 @@ def milne_check(a, b) -> tuple[bool, Fraction]:
 
     Returns the (always true) verdict together with the exact slack.
     """
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
+    a = [as_fraction(x) for x in a]
+    b = [as_fraction(x) for x in b]
     if len(a) != len(b):
         raise ValueError("sequences must have equal length")
     if any(x < 0 for x in a + b):
@@ -508,9 +512,9 @@ def milne_stability_check(a, b, eps) -> tuple[bool, set[int]]:
     exceptional set is returned either way. The conclusion is provable for
     eps up to about 1/5; beyond that the statement itself can fail.
     """
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    eps = Fraction(eps)
+    a = [as_fraction(x) for x in a]
+    b = [as_fraction(x) for x in b]
+    eps = as_fraction(eps)
     if len(a) != len(b):
         raise ValueError("sequences must have equal length")
     if eps <= 0:

@@ -468,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="all")
     p.add_argument("--budget", type=int, default=20)
     p.add_argument("--canonical", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, plain search only")
 
     p = add("prune", _cmd_prune, help="codegree pruning to a fixpoint")
     p.add_argument("--input", required=True)

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .census import as_fraction
 from .hypergraph import Hypergraph, shadow
 from .permgroup import MAX_ARITY
 from .tightconn import (
@@ -33,12 +34,6 @@ from .tightconn import (
 )
 
 Edge = tuple[int, ...]
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +260,8 @@ def min_degree_refine(g: Hypergraph, c, eps) -> tuple[frozenset[int], tuple[int,
     the original scale; on sparse input the cascade may empty S entirely.
     Returns (survivors, removal order).
     """
-    c = _as_fraction(c)
-    eps = _as_fraction(eps)
+    c = as_fraction(c)
+    eps = as_fraction(eps)
     if not 0 < c <= 1:
         raise ValueError(f"density c must lie in (0, 1], got {c}")
     if not 0 < eps < c:
@@ -301,7 +296,7 @@ def prune_low_codegree(g: Hypergraph, eps) -> tuple[Hypergraph, int]:
     surviving hypergraph and the number of deleted edges; the total loss is
     at most eps * n * C(n, r-1) across all passes.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     threshold = eps * g.n
@@ -333,7 +328,7 @@ def verify_short_connection_bound(g: Hypergraph, eps) -> bool:
     the least window already fit under the bound are accepted without the
     quadratic pass.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     _, lost = prune_low_codegree(g, eps)
@@ -451,7 +446,7 @@ def check_eps_close(g: Hypergraph, a_side, b_side, t: Hypergraph, eps) -> EpsClo
     _check_waypoints(t)
     if t.n != g.n:
         raise ValueError(f"triple family lives on {t.n} vertices, graph on {g.n}")
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
 
@@ -511,9 +506,9 @@ def refine_triple_set(t: Hypergraph, alpha, eps, delta) -> tuple[frozenset[int],
     surviving shadow pair has degree at least (alpha - 7 delta) n, and every
     surviving vertex has shadow degree at least (1 - 4 delta) n.
     """
-    alpha = _as_fraction(alpha)
-    eps = _as_fraction(eps)
-    delta = _as_fraction(delta)
+    alpha = as_fraction(alpha)
+    eps = as_fraction(eps)
+    delta = as_fraction(delta)
     _check_waypoints(t)
     n = t.n
     if not 0 < alpha <= 1 or not 0 < eps <= 1:
@@ -583,7 +578,7 @@ def build_walk_through_T(
     search. Returns the least walk in position-by-position vertex order, or
     None when the search exhausts.
     """
-    eps = _as_fraction(eps)
+    eps = as_fraction(eps)
     if eps > Fraction(1, 10):
         raise ValueError(f"eps must be at most 1/10, got {eps}")
     report = check_eps_close(g, a_side, b_side, t, eps)

@@ -285,6 +285,37 @@ def test_fopt_is_pinned():
     assert hashlib.sha256(repr(records).encode()).hexdigest() == FOPT_PIN
 
 
+# same record format over refinement counts no caller uses by default, captured before
+# the refinement passes ran the coarse scan's code
+FOPT_DEEP_PIN = "22048f764e5e3a82f33add194ca8bcb4a660a27c59f95b7cdd6e32c90ab5ccd2"
+
+
+def test_fopt_deep_refinements_are_pinned():
+    records = []
+    for step in (Fraction(1, 40), Fraction(3, 200), Fraction(1, 7), Fraction(1, 9)):
+        for refinements in (3, 5, 8):
+            for region in PIN_REGIONS:
+                best, point, cert = cen.maximize_f_on_R(step, refinements=refinements, region=region)
+                records.append((repr(best), [str(x) for x in point], sorted(cert.items())))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == FOPT_DEEP_PIN
+
+
+def test_fopt_never_reports_above_one_half():
+    # float f at grid points finer than FOPT_MIN_STEP rounds above the true maximum 1/2
+    for step in (Fraction(1, 40), Fraction(3, 200)):
+        refinements = 0
+        while step / 10**refinements >= cen.FOPT_MIN_STEP:
+            best, _, _ = cen.maximize_f_on_R(step, refinements=refinements)
+            assert best <= 0.5
+            refinements += 1
+        with pytest.raises(ValueError, match="FOPT_MIN_STEP"):
+            cen.maximize_f_on_R(step, refinements=refinements)
+
+
+def test_fopt_reads_a_float_step_at_its_shortest_decimal():
+    assert cen.maximize_f_on_R(0.025) == cen.maximize_f_on_R(Fraction(1, 40))
+
+
 def test_coarse_grid_points_counts_the_scan():
     for top in range(61):
         brute = sum(
@@ -308,6 +339,10 @@ def test_fopt_refuses_bad_arguments_up_front():
         cen.maximize_f_on_R(Fraction(1, 10**30))
     with pytest.raises(ValueError, match="refinements must be nonnegative"):
         cen.maximize_f_on_R(Fraction(1, 40), refinements=-1)
+    with pytest.raises(ValueError, match=r"1/40 / 10\*\*11 is below FOPT_MIN_STEP=1/1000000000000"):
+        cen.maximize_f_on_R(Fraction(1, 40), refinements=11)
+    with pytest.raises(ValueError, match="FOPT_MIN_STEP"):
+        cen.maximize_f_on_R(Fraction(1, 40), refinements=10**9)
     assert time.perf_counter() - start < 1
     # the finest step the tests, bench and demos use stays inside the budget
     assert cen._coarse_grid_points(200) <= cen.FOPT_MAX_GRID_POINTS
@@ -357,6 +392,10 @@ def test_milne_check_cases():
         cen.milne_check((1, -1), (1, 3))
     with pytest.raises(ValueError):
         cen.milne_check((1,), (1, 2))
+    # floats are read at their shortest decimal
+    assert cen.milne_check((0.1, 0.2), (0.3, 0.4)) == cen.milne_check(
+        (Fraction(1, 10), Fraction(1, 5)), (Fraction(3, 10), Fraction(2, 5))
+    )
 
 
 @settings(max_examples=100)
@@ -386,6 +425,8 @@ def test_milne_stability_flags_odd_pair():
     ok, exc = cen.milne_stability_check(a, a, Fraction(1, 10))
     assert exc == {60}
     assert ok  # one exception is within the eps*n allowance
+    # read at their shortest decimals, 0.4 sits on the edge 1/2 - 0.1 and is exceptional
+    assert cen.milne_stability_check([0.4], [0.4], 0.1)[1] == {0}
 
 
 def test_milne_stability_near_equality_forces_structure():
