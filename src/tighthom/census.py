@@ -5,7 +5,8 @@ directed red, undirected blue, undirected green, or directed purple. The
 census counts green triangles, purple directed 3-cycles, and cherries (a
 blue base whose endpoints both point red at a common apex), converts the
 tag frequencies to exact rational densities, and checks the six bounds
-those counts satisfy, counting on per-vertex int bitset rows. The same
+those counts satisfy. It counts on per-vertex int bitset rows that a
+coloring builds in the one pass that validates its pairs. The same
 densities drive the scalar objectives ``eval_g`` / ``eval_f`` and a
 certified grid maximizer, one exact-grid scan per pass, alongside the
 closed-form extremal count ``e_opt`` and a few small exact checks.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hypergraph import Hypergraph
@@ -45,40 +46,73 @@ FOPT_MIN_STEP = Fraction(1, 10**12)
 
 
 def as_fraction(x) -> Fraction:
-    """Exact rational; a float is read at its shortest decimal, so ``0.1`` is one tenth."""
+    """Exact rational; a float is read at its shortest decimal, so ``0.1`` is one tenth.
+
+    Strings such as '3/200' or '0.18' parse exactly; a zero denominator is a ValueError.
+    """
     if isinstance(x, float):
         return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r} has a zero denominator") from None
 
 
 @dataclass(frozen=True)
 class EdgeColoring2:
-    """A four-tag coloring of all vertex pairs; directed tags carry (tail, head)."""
+    """A four-tag coloring of all vertex pairs; directed tags carry (tail, head).
+
+    The pass that validates the pairs also builds the census index, kept on the
+    instance and out of equality and repr: per-vertex int bitset rows of green
+    neighbours, red out-neighbours, purple out- and in-neighbours, then the
+    green and blue keys and the purple values (the stored tuples themselves).
+    """
 
     n: int
     colors: dict[Pair, tuple]
+    _index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.colors) != math.comb(max(self.n, 0), 2):
             raise ValueError("every unordered pair needs exactly one color")
+        green, rout, pout, pin = ([0] * self.n for _ in range(4))
+        greens, blues, purples = [], [], []
         # with the count right, keys 0 <= u < v < n are all C(n,2) pairs; a bad key wins
         problem = None
-        for (u, v), val in self.colors.items():
+        for key, val in self.colors.items():
+            u, v = key
             if not 0 <= u < v < self.n:
                 raise ValueError("every unordered pair needs exactly one color")
-            if val is _BLUE or val is _GREEN or problem:
+            if problem:
                 continue
             tag = val[0]
-            if tag in (BLUE, GREEN):
-                if val != (tag,):
-                    problem = f"undirected tag {tag} takes no endpoints"
-            elif tag in (RED, PURPLE):
-                if len(val) != 3 or {val[1], val[2]} != {u, v}:
-                    problem = f"directed tag on {(u, v)} must orient that pair"
+            if val is not _BLUE and val is not _GREEN:
+                if tag in (BLUE, GREEN):
+                    if val != (tag,):
+                        problem = f"undirected tag {tag} takes no endpoints"
+                elif tag in (RED, PURPLE):
+                    if len(val) != 3 or {val[1], val[2]} != {u, v}:
+                        problem = f"directed tag on {(u, v)} must orient that pair"
+                else:
+                    problem = f"unknown tag {tag!r}"
+                if problem:
+                    continue
+            # the value passed its checks, so a directed one holds u and v in some order
+            if tag == GREEN:
+                green[u] |= 1 << v
+                green[v] |= 1 << u
+                greens.append(key)
+            elif tag == BLUE:
+                blues.append(key)
+            elif tag == RED:
+                rout[val[1]] |= 1 << val[2]
             else:
-                problem = f"unknown tag {tag!r}"
+                pout[val[1]] |= 1 << val[2]
+                pin[val[2]] |= 1 << val[1]
+                purples.append(val)
         if problem:
             raise ValueError(problem)
+        object.__setattr__(self, "_index", (green, rout, pout, pin, greens, blues, purples))
 
     def value(self, u: int, v: int) -> tuple:
         return self.colors[(u, v) if u < v else (v, u)]
@@ -207,27 +241,12 @@ def count_triangle_types(c: EdgeColoring2) -> TriangleCensus:
     """
     if c.n < 2:
         raise ValueError("densities need at least one pair, so n >= 2")
-    # neighbourhood rows as int bitsets: a triangle on a pair is a bit of the AND of two rows
-    green, rout, pout, pin = ([0] * c.n for _ in range(4))
-    greens, blues, purples = [], [], []
-    for (u, v), val in c.colors.items():
-        if val[0] == GREEN:
-            green[u] |= 1 << v
-            green[v] |= 1 << u
-            greens.append((u, v))
-        elif val[0] == BLUE:
-            blues.append((u, v))
-        elif val[0] == RED:
-            rout[val[1]] |= 1 << val[2]
-        else:
-            pout[val[1]] |= 1 << val[2]
-            pin[val[2]] |= 1 << val[1]
-            purples.append(val[1:])
-
-    # each green triangle and each purple 3-cycle is seen from all three sides
+    green, rout, pout, pin, greens, blues, purples = c._index
+    # rows of the coloring's census index: a triangle on a pair is a bit of the AND of two
+    # rows, and each green triangle and each purple 3-cycle is seen from all three sides
     t_green = sum((green[u] & green[v]).bit_count() for u, v in greens) // 3
     t_cherry = sum((rout[y] & rout[z]).bit_count() for y, z in blues)
-    t_purple = sum((pout[v] & pin[u]).bit_count() for u, v in purples) // 3
+    t_purple = sum((pout[v] & pin[u]).bit_count() for _, u, v in purples) // 3
 
     pairs = math.comb(c.n, 2)
     return TriangleCensus(
@@ -336,14 +355,10 @@ def check_color_inequalities(census: TriangleCensus, n: int) -> InequalityReport
 
 def goodman_check(c: EdgeColoring2) -> tuple[int, int, bool]:
     """For an all-purple coloring: sum of indeg*outdeg against 3T + transitive count."""
-    if any(val[0] != PURPLE for val in c.colors.values()):
+    _, _, pout, pin, _, _, purples = c._index
+    if len(purples) != len(c.colors):
         raise ValueError("the degree identity applies to all-purple colorings")
-    indeg = {v: 0 for v in range(c.n)}
-    outdeg = {v: 0 for v in range(c.n)}
-    for val in c.colors.values():
-        outdeg[val[1]] += 1
-        indeg[val[2]] += 1
-    lhs = sum(indeg[v] * outdeg[v] for v in range(c.n))
+    lhs = sum(out.bit_count() * into.bit_count() for out, into in zip(pout, pin))
     t = count_triangle_types(c).t_purple
     rhs = 3 * t + (math.comb(c.n, 3) - t)
     return lhs, rhs, lhs == rhs

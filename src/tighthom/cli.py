@@ -38,14 +38,6 @@ def _parse_vertices(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """Exact rational from '3/200' or '0.18'; ValueError on a zero denominator."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"{text!r} has a zero denominator") from None
-
-
 def _parse_residues(text: str, r: int) -> tuple[int, ...]:
     if text == "all":
         return tuple(range(1, r))
@@ -247,15 +239,15 @@ def _cmd_census(args):
     for item in report.items:
         lines.append(f"{item.name}: {'ok' if item.ok else 'FAIL'} slack={item.slack:.6g}")
     lines.append(f"f_bound={report.f_bound:.6g} all_ok={str(report.all_ok).lower()}")
-    if all(tag[0] == cen.PURPLE for tag in coloring.colors.values()):
+    if 2 * counts.delta == 1:  # every pair is purple
         lhs, rhs, ok = cen.goodman_check(coloring)
         lines.append(f"goodman: lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
     return lines, [report.to_record(counts)], not report.all_ok
 
 
 def _region_predicate(args):
-    g2d_max = _parse_fraction(args.gamma2delta_max) if args.gamma2delta_max else None
-    d_min = _parse_fraction(args.delta_min) if args.delta_min else None
+    g2d_max = cen.as_fraction(args.gamma2delta_max) if args.gamma2delta_max else None
+    d_min = cen.as_fraction(args.delta_min) if args.delta_min else None
     if g2d_max is None and d_min is None:
         return None
 
@@ -269,7 +261,7 @@ def _region_predicate(args):
 
 def _cmd_fopt(args):
     best, point, certificate = cen.maximize_f_on_R(
-        _parse_fraction(args.step), refinements=args.refinements, region=_region_predicate(args)
+        cen.as_fraction(args.step), refinements=args.refinements, region=_region_predicate(args)
     )
     names = ("alpha", "beta", "gamma", "delta")
     lines = [
@@ -328,7 +320,7 @@ def _cmd_search(args):
 
 def _cmd_prune(args):
     g = _load_graph(args.input)
-    pruned, deleted = ext.prune_low_codegree(g, _parse_fraction(args.eps))
+    pruned, deleted = ext.prune_low_codegree(g, cen.as_fraction(args.eps))
     lines = [f"deleted {deleted} of {len(g.edges)} edges; fixpoint has {len(pruned.edges)} edges"]
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -349,7 +341,7 @@ def _cmd_prune(args):
 def _cmd_epsclose(args):
     g = _load_graph(args.input)
     t = _load_triples(args.triples, g.n)
-    eps = _parse_fraction(args.eps)
+    eps = cen.as_fraction(args.eps)
     report = ext.check_eps_close(g, _parse_vertices(args.a), _parse_vertices(args.b), t, eps)
     lines = [f"eps-close: {str(report.is_close).lower()} (eps={report.epsilon})"]
     for tri in report.violations_1:
@@ -385,7 +377,7 @@ def _cmd_walk(args):
         _parse_vertices(args.a),
         _parse_vertices(args.b),
         t,
-        _parse_fraction(args.eps),
+        cen.as_fraction(args.eps),
         (_parse_vertices(args.start), _parse_vertices(args.end)),
         _parse_pattern(args.pattern),
     )

@@ -88,19 +88,13 @@ def _greedy_pack(n: int, r: int, residues, pool) -> tuple[list[Edge], int]:
 def _search_subtree(args):
     """One include/exclude prefix of the edge pool, searched to the leaves.
 
-    Subtrees never share bounds, so each returns every tying leaf it saw;
-    the merge keeps the global maximum. Module-level for pickling.
+    The prefix forces the first decisions of the DFS. Subtrees never share
+    bounds, so each returns every tying leaf it saw; the merge keeps the
+    global maximum. Module-level for pickling.
     """
     n, r, residues, prefix = args
     pool = _colex_edges(n, r)
-    acc: list[Edge] = []
     explored = 0
-    for bit, e in zip(prefix, pool):
-        if bit:
-            explored += 1
-            if not _free_for_all(Hypergraph(r, n, acc + [e]), residues):
-                return -1, [], explored
-            acc.append(e)
     best = -1
     witnesses: list[tuple[Edge, ...]] = []
 
@@ -116,14 +110,17 @@ def _search_subtree(args):
                 witnesses.append(tuple(acc))
             return
         e = pool[i]
-        explored += 1
-        if _free_for_all(Hypergraph(r, n, acc + [e]), residues):
-            acc.append(e)
+        bit = prefix[i] if i < len(prefix) else None
+        if bit != 0:
+            explored += 1
+            if _free_for_all(Hypergraph(r, n, acc + [e]), residues):
+                acc.append(e)
+                dfs(i + 1, acc)
+                acc.pop()
+        if bit != 1:
             dfs(i + 1, acc)
-            acc.pop()
-        dfs(i + 1, acc)
 
-    dfs(len(prefix), acc)
+    dfs(0, [])
     return best, witnesses, explored
 
 
@@ -584,8 +581,6 @@ def build_walk_through_T(
     report = check_eps_close(g, a_side, b_side, t, eps)
     if not report.is_close:
         raise ValueError("graph is not eps-close to odd bipartite along these triples")
-    part_a = frozenset(a_side)
-    part_b = frozenset(b_side)
     start, end = endpoints
     start = tuple(start)
     end = tuple(end)
@@ -600,11 +595,6 @@ def build_walk_through_T(
         if not isinstance(tok, int) or not 0 <= tok < g.n:
             raise ValueError(f"pattern entry {tok!r} is neither a side label nor a vertex")
 
-    def label(tok):
-        if tok in ("A", "B"):
-            return tok
-        return "A" if tok in part_a else "B"
-
     total = 6 + len(tokens)
     full_tokens = list(start) + tokens + list(end)
     for i in range(3, total):
@@ -613,10 +603,7 @@ def build_walk_through_T(
             if window.count("A") % 2 == 0:
                 raise ValueError(f"label window {tuple(window)} has even A-count")
 
-    pools = {
-        "A": sorted(part_a),
-        "B": sorted(part_b),
-    }
+    pools = {"A": sorted(set(a_side)), "B": sorted(set(b_side))}
     seq: list = list(start) + [None] * len(tokens) + list(end)
     last_waypoint = total - 7
 

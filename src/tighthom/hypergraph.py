@@ -62,9 +62,6 @@ class Hypergraph:
             object.__setattr__(self, "_completions", index)
         return index.get(face, ())
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented

@@ -106,6 +106,8 @@ def test_coloring_validation():
         {(0, 1): (cen.PURPLE, 1, 1), (0, 2): (cen.BLUE,), (1, 2): (cen.BLUE,)},
         # a bad key outranks a bad value that comes first
         {(0, 1): ("mauve",), (0, 2): (cen.BLUE,), (2, 1): (cen.BLUE,)},
+        # a tail outside the vertex range is refused, never used as a row index
+        {(0, 1): (cen.RED, 5, 1), (0, 2): (cen.BLUE,), (2, 1): (cen.BLUE,)},
     ],
 )
 def test_coloring_validation_checks_each_key_and_value(colors):
@@ -190,6 +192,31 @@ def test_exhaustive_n3_census():
         census = cen.count_triangle_types(c)
         assert (census.t_green, census.t_purple, census.t_cherry) == o_triangle_counts(c.n, c.colors)
         assert cen.check_color_inequalities(census, 3).all_ok
+
+
+def _census_record(c):
+    s = cen.count_triangle_types(c)
+    try:
+        goodman = cen.goodman_check(c)
+    except ValueError as err:
+        goodman = str(err)
+    densities = (str(s.alpha), str(s.beta), str(s.gamma), str(s.delta))
+    return (s.n, s.t_green, s.t_purple, s.t_cherry, *densities, goodman)
+
+
+# sha256 of repr([_census_record(c)]) over the colorings below, in that order,
+# captured before the census index moved into the coloring's validating pass
+CENSUS_PIN = "cadffc6f24e6d594a5e3085ed2ffe3a8a378ade9d4e6b8cdc0389c3f8d1f1aba"
+
+
+def test_census_is_pinned():
+    colorings = [cen.random_edge_coloring(n, 1000 * n + k) for n in range(2, 41) for k in range(2)]
+    for n in range(3, 62, 2):
+        colorings.append(cen.purple_tournament_coloring(n, rotational_tournament(n)))
+        colorings.append(cen.purple_tournament_coloring(n, itertools.combinations(range(n), 2)))
+    colorings += [cen.cherry_coloring(a, b) for a in range(7) for b in range(7) if a + b >= 2]
+    records = [_census_record(c) for c in colorings]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == CENSUS_PIN
 
 
 def test_edge_coloring_from_link():
