@@ -40,6 +40,9 @@ _SCAN_LIPSCHITZ = 22.5
 # largest coarse grid maximize_f_on_R scans: step 1/200 has 117,912 points, 1/400 915,823
 FOPT_MAX_GRID_POINTS = 1_000_000
 
+# most pairs random_edge_coloring builds, about 160 bytes each: n = 1414 fits, the bench uses 120
+CENSUS_MAX_PAIRS = 1_000_000
+
 # finest final step maximize_f_on_R accepts: below it, float f at grid points
 # about 1e-14 apart rounds above the true maximum 1/2
 FOPT_MIN_STEP = Fraction(1, 10**12)
@@ -91,7 +94,7 @@ class EdgeColoring2:
                     if val != (tag,):
                         problem = f"undirected tag {tag} takes no endpoints"
                 elif tag in (RED, PURPLE):
-                    if len(val) != 3 or {val[1], val[2]} != {u, v}:
+                    if len(val) != 3 or not (val[1] == u and val[2] == v or val[1] == v and val[2] == u):
                         problem = f"directed tag on {(u, v)} must orient that pair"
                 else:
                     problem = f"unknown tag {tag!r}"
@@ -143,6 +146,8 @@ def edge_coloring_from_text(text: str) -> EdgeColoring2:
 
 def random_edge_coloring(n: int, seed) -> EdgeColoring2:
     """Uniform choice among the six tags (two orientations each for red, purple)."""
+    if (pairs := math.comb(max(n, 0), 2)) > CENSUS_MAX_PAIRS:
+        raise ValueError(f"random coloring on {n} vertices has {pairs:,} pairs, over {CENSUS_MAX_PAIRS=:,}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     colors = {}
     for u, v in itertools.combinations(range(n), 2):

@@ -56,14 +56,6 @@ def oriented_edges(g: Hypergraph) -> list[Oriented]:
     return sorted(x for e in g.edges for x in itertools.permutations(e))
 
 
-def _replacement_neighbors(g: Hypergraph, x: Oriented):
-    """Oriented edges that differ from x in exactly one position."""
-    for i, v in enumerate(x):
-        for w in g.completions(tuple(sorted(x[:i] + x[i + 1 :]))):
-            if w != v:
-                yield x[:i] + (w,) + x[i + 1 :]
-
-
 @dataclass(frozen=True)
 class TightComponent:
     """A ~ class: its edges with their potentials, and its connection group.

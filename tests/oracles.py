@@ -375,6 +375,30 @@ def o_max_hom_free(n, r, residues):
 
 
 # ---------------------------------------------------------------------------
+# accordant colorings
+
+
+def o_accordant(edges, r, color_of):
+    """Do all oriented edges one vertex replacement apart get equal colors?
+
+    Tries every orientation of every edge against every other edge sharing
+    r - 1 of its vertices, found by scanning the edge list; ``color_of`` gives
+    the color of an oriented edge.
+    """
+    for e in edges:
+        for x in itertools.permutations(e):
+            cx, sx = color_of(x), set(x)
+            for f in edges:
+                if len(sx & set(f)) != r - 1:
+                    continue
+                (w,) = set(f) - sx
+                i = next(i for i, v in enumerate(x) if v not in f)
+                if color_of(x[:i] + (w,) + x[i + 1 :]) != cx:
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # triangle census of four-tag pair colorings
 
 

@@ -104,6 +104,7 @@ def test_coloring_validation():
         {(0, 1): (cen.BLUE,), (0, 2): (cen.BLUE,), (-1, 2): (cen.BLUE,)},  # negative vertex
         {(0, 1): (cen.RED, 0, 2), (0, 2): (cen.BLUE,), (1, 2): (cen.BLUE,)},  # orients (0, 2)
         {(0, 1): (cen.PURPLE, 1, 1), (0, 2): (cen.BLUE,), (1, 2): (cen.BLUE,)},
+        {(0, 1): (cen.RED, [0], 1), (0, 2): (cen.BLUE,), (1, 2): (cen.BLUE,)},  # unhashable endpoint
         # a bad key outranks a bad value that comes first
         {(0, 1): ("mauve",), (0, 2): (cen.BLUE,), (2, 1): (cen.BLUE,)},
         # a tail outside the vertex range is refused, never used as a row index
@@ -373,6 +374,17 @@ def test_fopt_refuses_bad_arguments_up_front():
     assert time.perf_counter() - start < 1
     # the finest step the tests, bench and demos use stays inside the budget
     assert cen._coarse_grid_points(200) <= cen.FOPT_MAX_GRID_POINTS
+
+
+def test_random_coloring_refuses_oversized_n_up_front():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="4,999,999,950,000,000 pairs, over CENSUS_MAX_PAIRS=1,000,000"):
+        cen.random_edge_coloring(10**8, 1)
+    with pytest.raises(ValueError, match="CENSUS_MAX_PAIRS"):
+        cen.random_edge_coloring(1415, 1)
+    assert time.perf_counter() - start < 1
+    # n = 1414 is the largest admitted size; the largest the tests and bench use is 120
+    assert math.comb(1414, 2) <= cen.CENSUS_MAX_PAIRS
 
 
 def test_e_opt_small_values():

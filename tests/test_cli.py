@@ -209,6 +209,7 @@ def test_fopt_golden_and_restricted_regimes():
         (("fopt", "--step", "1/100000"), "coarse grid points, over FOPT_MAX_GRID_POINTS=1,000,000"),
         (("fopt", "--step", "1/40", "--refinements", "12"), "final step 1/40 / 10**12 is below FOPT_MIN_STEP="),
         (("fopt", "--step", "1/40", "--refinements", "1000000000"), "is below FOPT_MIN_STEP=1/1000000000000"),
+        (("census", "--random-n", "100000000"), "pairs, over CENSUS_MAX_PAIRS=1,000,000"),
     ],
 )
 def test_fopt_bad_arguments_exit_2(argv, message):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from tighthom.hypergraph import (
 )
 from tighthom.permgroup import all_perms, apply_to_tuple, cyc, identity, perm_power
 
+from oracles import o_accordant
 from strategies import hypergraphs
 
 
@@ -200,6 +202,33 @@ def test_verify_accordant_detects_bad_assignments():
         col.verify_accordant(
             g, col.OrientedColoring(pi=chi.pi, graph=g, colors=chi.colors, assignment=missing)
         )
+
+
+def test_verify_accordant_matches_oracle():
+    rng = random.Random(11)
+    verdicts = Counter()
+    for i in range(200):
+        r = 2 + i % 4
+        n = rng.randint(r + 1, 7)
+        pool = list(itertools.combinations(range(n), r))
+        g = Hypergraph(r, n, rng.sample(pool, rng.randint(1, min(len(pool), 15))))
+        for k in range(1, r):
+            chi = col.build_accordant_coloring(g, perm_power(cyc(r), k))
+            if chi is None:
+                continue
+            assert col.verify_accordant(g, chi) and o_accordant(g.edges, r, chi.color_of)
+            e = rng.choice(g.edges)
+            others = [c for c in chi.colors.colors if c != chi.assignment[e]]
+            changed = col.OrientedColoring(
+                pi=chi.pi, graph=g, colors=chi.colors, assignment={**chi.assignment, e: rng.choice(others)}
+            )
+            verdict = col.verify_accordant(g, changed)
+            assert verdict == o_accordant(g.edges, r, changed.color_of)
+            verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]  # both outcomes are refereed
+    chi = col.build_accordant_coloring(tight_cycle(4, 6), cyc(4))
+    with pytest.raises(ValueError, match="built for a different graph"):
+        col.verify_accordant(tight_cycle(4, 7), chi)
 
 
 @settings(max_examples=25)
