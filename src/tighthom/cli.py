@@ -106,6 +106,18 @@ def _require(args, kind, *names):
             raise ValueError(f"gen {kind} needs --{name}")
 
 
+def _tournament_arcs(n: int, seed):
+    """Arcs of the rotational tournament, or of a seeded random one; lazy, so
+    ``tournament_3graph`` refuses an oversized ``n`` before any is made."""
+    if seed is None:
+        yield from hg.rotational_tournament(n)
+        return
+    rng = random.Random(seed)
+    for u in range(n):
+        for v in range(u + 1, n):
+            yield (u, v) if rng.random() < 0.5 else (v, u)
+
+
 def _cmd_gen(args):
     kind = args.kind
     if kind == "tight-cycle":
@@ -122,15 +134,7 @@ def _cmd_gen(args):
         g = hg.blowup(_load_graph(args.input), args.t)
     else:
         _require(args, kind, "n")
-        if args.seed is None:
-            beats = hg.rotational_tournament(args.n)
-        else:
-            rng = random.Random(args.seed)
-            beats = set()
-            for u in range(args.n):
-                for v in range(u + 1, args.n):
-                    beats.add((u, v) if rng.random() < 0.5 else (v, u))
-        g = hg.tournament_3graph(args.n, beats)
+        g = hg.tournament_3graph(args.n, _tournament_arcs(args.n, args.seed))
     text = hg.to_text(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

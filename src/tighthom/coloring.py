@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .hypergraph import Hypergraph, complete_oddly_bipartite
 from .permgroup import (
@@ -187,15 +188,50 @@ def _classify_face(u: Edge, cls, rho: Perm) -> FaceValue:
     raise ValueError(f"no face rule for class {name!r}")
 
 
+@lru_cache(maxsize=8)
+def _face_patterns(cs: ColorSet) -> tuple[dict[Color, tuple], dict[tuple, tuple[Color, ...]]]:
+    """Each color's face values on the edge ``(0, 1, 2, 3)``, whose vertices are
+    its slots, and the colors of each such pattern in color order.
+
+    ``_classify_face`` reads the vertices of an edge only at slot positions, so
+    any sorted edge's face values are its vertices substituted into the pattern.
+    """
+    slots = (0, 1, 2, 3)
+    patterns: dict[Color, tuple] = {}
+    colors_of: dict[tuple, tuple[Color, ...]] = {}
+    for color in cs.colors:
+        faces = []
+        for j in range(4):
+            u = slots[:j] + slots[j + 1 :] + (j,)
+            idx, rho = cs.act(reorder_perm(slots, u), color)
+            faces.append(_classify_face(u, cs.classes[idx], rho))
+        faces = patterns[color] = tuple(faces)
+        colors_of[faces] = colors_of.get(faces, ()) + (color,)
+    return patterns, colors_of
+
+
 def _face_values(e: Edge, color: Color, cs: ColorSet) -> tuple[FaceValue, ...]:
     """Values of the four boundary triples of the sorted edge ``e`` under ``color``."""
     out = []
-    for j in range(4):
-        t = e[:j] + e[j + 1 :]
-        u = t + (e[j],)
-        idx, rho = cs.act(reorder_perm(e, u), color)
-        out.append(_classify_face(u, cs.classes[idx], rho))
+    for value in _face_patterns(cs)[0][color]:
+        tag = value[0]
+        if tag == POINTED:
+            value = (tag, e[value[1]])
+        elif tag in (RED_EDGE, YELLOW_EDGE):
+            value = (tag, tuple(e[s] for s in value[1]))  # ascending slots of a sorted edge
+        out.append(value)
     return tuple(out)
+
+
+def _face_slots(e: Edge, value: FaceValue) -> FaceValue:
+    """A stored face value of the sorted edge ``e`` with each vertex replaced by its
+    slot (None off the edge): the pattern of every color that induces it."""
+    tag = value[0]
+    if tag == POINTED:
+        return (tag, *(e.index(v) if v in e else None for v in value[1:]))
+    if tag in (RED_EDGE, YELLOW_EDGE):
+        return (tag, *(tuple(e.index(v) if v in e else None for v in pair) for pair in value[1:]))
+    return value
 
 
 @dataclass
@@ -247,9 +283,10 @@ def _face_matches(g: Hypergraph, tc4: TripleColoring4, cs: ColorSet):
 
     No face value is ever free, so an edge with a free face matches nothing.
     """
+    colors_of = _face_patterns(cs)[1]
     for e in g.edges:
-        stored = tuple(tc4.value(e[:j] + e[j + 1 :]) for j in range(4))
-        yield e, [c for c in cs.colors if _face_values(e, c, cs) == stored]
+        stored = tuple(_face_slots(e, tc4.value(e[:j] + e[j + 1 :])) for j in range(4))
+        yield e, colors_of.get(stored, ())
 
 
 def verify_boundary_patterns(g: Hypergraph, tc4: TripleColoring4, k: int) -> bool:

@@ -8,16 +8,29 @@ codegree questions read it.  Derived data (that index, the tight components,
 the walk successor table) is built on first use and kept on the instance, so
 it dies with the graph.  Waypoint triple families are 3-graphs.  The text
 format puts ``r n`` on the first line and one edge of ``r`` vertices per
-following line; ``#`` starts a comment.
+following line; ``#`` starts a comment.  Each generator computes the number
+of vertex sets it would scan or build before doing any work and refuses more
+than ``GEN_MAX_SETS``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .permgroup import apply_to_tuple
 
 Edge = tuple[int, ...]
+
+# most vertex sets (windows, scanned r-sets, edges, triples or arcs) a generator
+# makes: all_triples(50) has 19,600, the most of the tests, demos and bench;
+# godd(40, 40, r=8) would scan about 2.9e10
+GEN_MAX_SETS = 1_000_000
+
+
+def _admit(what: str, sets: int) -> None:
+    if sets > GEN_MAX_SETS:
+        raise ValueError(f"{what} makes {sets:,} vertex sets, over {GEN_MAX_SETS=:,}")
 
 
 class Hypergraph:
@@ -96,6 +109,7 @@ def tight_cycle(r: int, ell: int) -> Hypergraph:
     """Cycle on ``ell`` vertices whose edges are all cyclic windows of width ``r``."""
     if ell <= r:
         raise ValueError(f"cycle length {ell} must exceed arity {r}")
+    _admit(f"tight cycle of length {ell}", ell)
     edges = [tuple((i + j) % ell for j in range(r)) for i in range(ell)]
     return Hypergraph(r, ell, edges)
 
@@ -111,6 +125,7 @@ def twisted_tight_cycle(r: int, ell: int, pi) -> Hypergraph:
         raise ValueError(f"permutation arity {len(pi)} != {r}")
     if ell < 2 * r:
         raise ValueError(f"twisted cycle needs at least 2r = {2 * r} vertices, got {ell}")
+    _admit(f"twisted cycle of length {ell}", ell + 1)
     seq = list(range(ell)) + list(apply_to_tuple(pi, tuple(range(r))))
     edges = [tuple(seq[i : i + r]) for i in range(ell + 1)]
     return Hypergraph(r, ell, edges)
@@ -126,6 +141,7 @@ def complete_oddly_bipartite(a: int, b: int, r: int = 4) -> Hypergraph:
         raise ValueError(f"odd arity {r} is unsupported here")
     if a < 0 or b < 0 or a + b < r:
         raise ValueError(f"need a + b >= r, got a={a} b={b} r={r}")
+    _admit(f"godd({a}, {b}, r={r})", math.comb(a + b, r))
     edges = [
         e
         for e in itertools.combinations(range(a + b), r)
@@ -138,6 +154,7 @@ def blowup(g: Hypergraph, t: int) -> Hypergraph:
     """Replace every vertex by ``t`` clones; edges take one clone per original."""
     if t < 1:
         raise ValueError(f"blowup factor must be positive, got {t}")
+    _admit(f"blowup by {t} of {len(g.edges)} edges", len(g.edges) * t**g.r)
     edges = []
     for e in g.edges:
         for copies in itertools.product(range(t), repeat=g.r):
@@ -148,9 +165,10 @@ def blowup(g: Hypergraph, t: int) -> Hypergraph:
 def tournament_3graph(n: int, beats) -> Hypergraph:
     """Directed triangles of a tournament on ``n`` vertices as a 3-graph.
 
-    ``beats`` is the set of ordered pairs (u, v) with u beating v; it must
-    orient every pair exactly once.
+    ``beats`` yields the ordered pairs (u, v) with u beating v, read only after
+    the size check; it must orient every pair exactly once.
     """
+    _admit(f"tournament 3-graph on {n} vertices", math.comb(max(n, 0), 3))
     arcs = {(int(u), int(v)) for u, v in beats}
     for u, v in arcs:
         if not (0 <= u < n and 0 <= v < n) or u == v:
@@ -170,6 +188,7 @@ def rotational_tournament(n: int) -> set[tuple[int, int]]:
     """The rotational (circulant) tournament: v beats v+1, ..., v+(n-1)/2 mod n."""
     if n % 2 == 0:
         raise ValueError("rotational tournaments need odd n")
+    _admit(f"rotational tournament on {n} vertices", math.comb(max(n, 0), 2))
     return {(v, (v + d) % n) for v in range(n) for d in range(1, n // 2 + 1)}
 
 
@@ -224,4 +243,5 @@ def shadow(triples) -> set[tuple[int, int]]:
 
 def all_triples(n: int) -> Hypergraph:
     """The complete 3-graph on 0..n-1, the default waypoint family."""
+    _admit(f"complete 3-graph on {n} vertices", math.comb(max(n, 0), 3))
     return Hypergraph(3, n, itertools.combinations(range(n), 3))

@@ -12,12 +12,13 @@ sorted element tuple is lexicographically least), a deterministic position in
 the class list (sorted by order, then by that tuple), and a stable name.
 Classes found in no table get the fallback name ``order-k-#j``.
 
-Every subgroup is closed by one kernel, ``_close``: a breadth-first closure
-from the identity over a list of generators that skips a generator already
-in the group and stops once the group holds more than half of S_r (Seress,
-Permutation Group Algorithms).  ``closure`` acts on tuples by right
-multiplication; the enumeration acts on indices into ``all_perms(r)`` by left
-multiplication along a table.
+Every subgroup is closed by one kernel, ``_close``: coset extension (Dimino;
+Seress, Permutation Group Algorithms) over a list of generators, from the
+identity or from a starting group given with its generators.  Each generator
+not yet in the group extends it by whole cosets of the group built so far,
+and the loop stops once the group holds more than half of S_r.  ``closure``
+acts on tuples by right multiplication; the enumeration acts on indices into
+``all_perms(r)`` by left multiplication along a table.
 
 The class lattice conjugates only in ``_conjugation_orbit``, a breadth-first
 orbit of an index-set subgroup under generators (``cyc(r)`` and the swap of
@@ -25,9 +26,10 @@ slots 1 and 2 for S_r) that returns each conjugate with one conjugating
 element and the stabilizer's Schreier generators.  Each class keeps its
 conjugates, so "c embeds in d" is a subset test against d's representative.
 The enumeration moves onto each representative, by the orbit's conjugating
-element, the generators the class was built from (a join with a cyclic seed
-closes those plus the seed's) and its normalizer's: the Schreier generators
-thinned by ``_close``.
+element, the generators the class was built from (a join extends the class
+by a cyclic seed's generator) and its normalizer's: the Schreier generators
+thinned by ``_close``.  Seeds are skipped by normalizer orbits of their
+generating elements.
 
 A "color set" for a permutation ``pi`` is the disjoint union of the left
 coset spaces of the maximal ``pi``-avoiding classes; colors are the atoms
@@ -173,35 +175,43 @@ def all_perms(r: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(r)))
 
 
-def _close(ident, gens, act, full_size: int):
-    """The group ``gens`` generate, breadth-first from ``ident``, and the generators kept.
+def _close(ident, gens, act, full_size: int, start=None, start_gens=()):
+    """The group ``gens`` generate, grown by whole cosets, and the generators kept.
 
-    ``act(g)`` is multiplication by the generator ``g``.  A generator already
-    in the group so far is skipped and every step uses only the kept ones, so
-    few are kept; they alone generate the group.  A subgroup with more than
-    half of the ``full_size`` elements of S_r is S_r itself (Lagrange), so the
-    loop stops there and the group comes back as None.
+    Growth starts from ``start``, a closed group that ``start_gens`` generate,
+    or from the trivial group ``{ident}``.  ``act(g)`` is multiplication by
+    ``g`` on one fixed side, so ``map(act(y), H)`` is the coset of ``H``
+    holding ``y``.  A generator already in the group so far is skipped; each
+    other one is kept, and the group so far, ``H``, is extended by coset
+    representatives from ``ident`` (Dimino; Butler, Fundamental Algorithms for
+    Permutation Groups): a representative times a kept generator that falls
+    outside the group brings in its whole coset of ``H`` and becomes a
+    representative, so each new element costs one product.  The kept
+    generators, ``start_gens`` first, alone generate the group.  A subgroup
+    with more than half of the ``full_size`` elements of S_r is S_r itself
+    (Lagrange), so the loop stops there and the group comes back as None.
     """
-    members = {ident}
-    kept = []
-    steps = []
+    members = {ident} if start is None else set(start)
+    kept = list(start_gens)
+    steps = [act(g) for g in kept]
     for g in gens:
         if g in members:
             continue
         kept.append(g)
         steps.append(act(g))
-        frontier = list(members)
-        while frontier:
-            fresh = []
-            for a in frontier:
-                for s in steps:
-                    c = s(a)
-                    if c not in members:
-                        members.add(c)
-                        fresh.append(c)
-            if 2 * len(members) > full_size:
-                return None, kept
-            frontier = fresh
+        old = list(members)
+        reps = [ident]
+        for x in reps:
+            for s in steps:
+                y = s(x)
+                if y not in members:
+                    if len(old) == 1:  # the trivial group's cosets are single elements
+                        members.add(y)
+                    else:
+                        members.update(map(act(y), old))
+                    if 2 * len(members) > full_size:
+                        return None, kept
+                    reps.append(y)
     return members, kept
 
 
@@ -254,14 +264,29 @@ def _check_arity(r: int) -> None:
 @lru_cache(maxsize=None)
 def _index_tables(r: int):
     """Index tables over all_perms(r): ``mul[a][b]`` is ``compose(a, b)``, ``inv``
-    the inverses, and the generators ``cyc(r)`` and (1 2) of S_r."""
+    the inverses, and the generators ``cyc(r)`` and (1 2) of S_r.
+
+    Rows are filled breadth-first over the two generators: the row of ``a . s``
+    is the row of ``a`` read through the row of ``s``.
+    """
     perms = all_perms(r)
     index = {p: i for i, p in enumerate(perms)}
-    getters = [right_mul(b) for b in perms]  # compose(a, b) is one C-level call
-    mul = [[index[get(a)] for get in getters] for a in perms]
-    inv = [index[inverse(p)] for p in perms]
     swap = (1, 0) + tuple(range(2, r))
-    return index, mul, inv, (index[cyc(r)], index[swap])
+    sym_gens = (index[cyc(r)], index[swap])
+    gen_rows = [(s, [index[compose(perms[s], b)] for b in perms]) for s in sym_gens]
+    id_idx = index[identity(r)]
+    mul = [None] * len(perms)
+    mul[id_idx] = list(range(len(perms)))
+    frontier = [id_idx]
+    for a in frontier:
+        row = mul[a]
+        for s, row_s in gen_rows:
+            b = row[s]
+            if mul[b] is None:
+                mul[b] = list(map(row.__getitem__, row_s))
+                frontier.append(b)
+    inv = [row.index(id_idx) for row in mul]
+    return index, mul, inv, sym_gens
 
 
 def _conjugation_orbit(r: int, group: frozenset[int], gens) -> tuple[dict, list[int]]:
@@ -310,9 +335,9 @@ def _class_name(r: int, canonical: tuple[Perm, ...], class_size: int) -> str | N
 def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
     """All subgroup conjugacy classes of the slot permutations, deterministically ordered.
 
-    Seeds with cyclic subgroups and repeatedly joins class representatives with
-    the seeds until no new class appears; a new group's conjugation orbit marks
-    its class as seen and is kept on it.
+    Seeds with cyclic subgroups and repeatedly extends class representatives by
+    the seeds' generators until no new class appears; a new group's conjugation
+    orbit marks its class as seen and is kept on it.
     """
     _check_arity(r)
     perms = all_perms(r)
@@ -322,14 +347,15 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
 
     step = lambda g: mul[g].__getitem__  # left multiplication by g
 
-    def close(gens) -> frozenset[int]:
-        members, _ = _close(id_idx, gens, step, full)
-        return frozenset(range(full)) if members is None else frozenset(members)
+    def close(gens, start=None, start_gens=()) -> tuple[frozenset[int], list[int]]:
+        members, kept = _close(id_idx, gens, step, full, start, start_gens)
+        return frozenset(range(full)) if members is None else frozenset(members), kept
 
     seeds: dict[frozenset[int], int] = {}
+    cyclic = [id_idx] * full  # each element's cyclic seed, by that seed's first generator
     for g in range(full):
         if g != id_idx:
-            seeds.setdefault(close([g]), g)
+            cyclic[g] = seeds.setdefault(close([g])[0], g)
 
     seen: set[frozenset[int]] = set()
     found: list[tuple[tuple[Perm, ...], frozenset[frozenset[int]]]] = []
@@ -353,15 +379,23 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
         rep, gens, normalizer_gens = queue.pop()
         # Joining with a seed conjugated by the normalizer of rep lands in the
         # conjugacy class of the un-conjugated join, so one seed per
-        # normalizer-orbit suffices; the orbit runs under the normalizer's
-        # generators.
-        skip: set[frozenset[int]] = set()
+        # normalizer-orbit suffices: the seeds of the conjugates of its
+        # generator under the normalizer's generators.
+        conj = [(mul[n], inv[n]) for n in normalizer_gens]
+        skip: set[int] = set()
         for seed, g in seeds.items():
-            if seed <= rep or seed in skip:
+            if g in skip or seed <= rep:
                 continue
-            skip.update(_conjugation_orbit(r, seed, normalizer_gens)[0])
-            joined = gens + [g]
-            register(close(joined), joined)
+            orbit = {g}
+            frontier = [g]
+            for x in frontier:
+                for row, n_inv in conj:
+                    y = mul[row[x]][n_inv]
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+            skip.update(map(cyclic.__getitem__, frontier))
+            register(*close([g], rep, gens))
 
     by_order: dict[int, int] = {}
     classes = []

@@ -56,6 +56,17 @@ def o_closure(gens):
     return frozenset(members)
 
 
+def o_greedy_generators(gens, start_gens=()):
+    """``start_gens``, then each of ``gens`` not in the span of those kept before it."""
+    kept = list(start_gens)
+    span = o_closure(kept) if kept else {tuple(range(len(gens[0])))}
+    for g in gens:
+        if g not in span:
+            kept.append(g)
+            span = o_closure(kept)
+    return kept
+
+
 def brute_force_subgroups(r):
     """Every subgroup of the symmetric group on r slots, r <= 4.
 

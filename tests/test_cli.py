@@ -210,6 +210,9 @@ def test_fopt_golden_and_restricted_regimes():
         (("fopt", "--step", "1/40", "--refinements", "12"), "final step 1/40 / 10**12 is below FOPT_MIN_STEP="),
         (("fopt", "--step", "1/40", "--refinements", "1000000000"), "is below FOPT_MIN_STEP=1/1000000000000"),
         (("census", "--random-n", "100000000"), "pairs, over CENSUS_MAX_PAIRS=1,000,000"),
+        (("gen", "godd", "--a", "40", "--b", "40", "--r", "8"), "over GEN_MAX_SETS=1,000,000"),
+        (("gen", "tournament3", "--n", "1000000", "--seed", "1"), "over GEN_MAX_SETS=1,000,000"),
+        (("gen", "tournament3", "--n", "1001"), "over GEN_MAX_SETS=1,000,000"),
     ],
 )
 def test_fopt_bad_arguments_exit_2(argv, message):

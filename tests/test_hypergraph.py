@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import pytest
 from hypothesis import given
@@ -102,6 +104,33 @@ def test_tournament_triangles():
         hg.tournament_3graph(3, {(0, 1), (1, 0), (1, 2), (2, 0)})
     with pytest.raises(ValueError):
         hg.rotational_tournament(4)
+
+
+def _never_consumed():
+    raise AssertionError("arcs were read before the size check")
+    yield
+
+
+def test_generators_refuse_oversized_inputs_up_front():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"godd\(40, 40, r=8\) makes 28,987,537,150 vertex sets, over GEN_MAX_SETS=1,000,000"):
+        hg.complete_oddly_bipartite(40, 40, 8)
+    with pytest.raises(ValueError, match="GEN_MAX_SETS"):
+        hg.blowup(hg.tight_cycle(4, 5), 100)  # 5 * 100**4 edges
+    with pytest.raises(ValueError, match="GEN_MAX_SETS"):
+        hg.tournament_3graph(10**6, _never_consumed())
+    with pytest.raises(ValueError, match="GEN_MAX_SETS"):
+        hg.rotational_tournament(10**9 + 1)
+    with pytest.raises(ValueError, match="GEN_MAX_SETS"):
+        hg.all_triples(183)
+    with pytest.raises(ValueError, match="GEN_MAX_SETS"):
+        hg.tight_cycle(4, 10**12)
+    with pytest.raises(ValueError, match="GEN_MAX_SETS"):
+        hg.twisted_tight_cycle(4, 10**6, cyc(4))  # 10**6 + 1 windows
+    assert time.perf_counter() - start < 1
+    # all_triples(182) is the largest complete 3-graph admitted; the largest the
+    # tests, demos and bench build is all_triples(50)
+    assert math.comb(182, 3) <= hg.GEN_MAX_SETS
 
 
 def test_link_degree_neighborhood():

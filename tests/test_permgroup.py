@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from oracles import (
     o_closure,
     o_compose,
     o_conjugate,
+    o_greedy_generators,
     o_inverse,
 )
 
@@ -149,6 +151,55 @@ def test_closure_fixed_cases():
     assert pg.closure([pg.identity(1)]) == {(0,)}
 
 
+def _random_gens(rng, r, count):
+    return [tuple(rng.sample(range(r), r)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_index_tables_match_compose_and_inverse(r):
+    perms = pg.all_perms(r)
+    index, mul, inv, (c, s) = pg._index_tables(r)
+    assert index == {p: i for i, p in enumerate(perms)}
+    assert (perms[c], perms[s]) == (pg.cyc(r), (1, 0) + tuple(range(2, r)))
+    for a, p in enumerate(perms):
+        assert [perms[x] for x in mul[a]] == [o_compose(p, q) for q in perms]
+        assert perms[inv[a]] == o_inverse(p)
+
+
+def test_close_extends_a_start_group_to_the_oracle_closure():
+    rng = random.Random(12)
+    for r in (3, 4, 5):
+        full = math.factorial(r)
+        index, mul, _, _ = pg._index_tables(r)
+        for _ in range(40):
+            start_gens = _random_gens(rng, r, rng.randint(1, 2))
+            extra = _random_gens(rng, r, rng.randint(1, 3))
+            start = o_closure(start_gens)
+            want = o_closure(start_gens + extra)
+            members, kept = pg._close(pg.identity(r), extra, pg.right_mul, full, start, start_gens)
+            assert (members or frozenset(pg.all_perms(r))) == want
+            assert kept == o_greedy_generators(extra, start_gens)
+            # the index form grows by left multiplication along the table
+            members, _ = pg._close(index[pg.identity(r)], [index[g] for g in extra],
+                                   lambda g: mul[g].__getitem__, full,
+                                   {index[p] for p in start}, [index[g] for g in start_gens])
+            assert {pg.all_perms(r)[i] for i in members or range(full)} == want
+
+
+def test_kept_generators_are_each_outside_the_span_so_far():
+    rng = random.Random(13)
+    for r in (2, 3, 4, 5):
+        for _ in range(40):
+            gens = _random_gens(rng, r, rng.randint(1, 5))
+            group = o_closure(gens)
+            assert pg.closure(gens) == group
+            _, kept = pg._close(pg.identity(r), gens, pg.right_mul, math.factorial(r))
+            assert kept == o_greedy_generators(gens)
+            minimal = pg.minimal_generators(group)
+            assert o_closure(minimal) == group
+            assert list(minimal) == (o_greedy_generators(sorted(group)) or [pg.identity(r)])
+
+
 def test_identity_compose_inverse():
     for p in pg.all_perms(4):
         assert pg.compose(p, pg.identity(4)) == p
@@ -266,6 +317,13 @@ def test_enumeration_against_brute_force(r):
     )
     ours = sorted((c.order, c.class_size) for c in classes)
     assert ours == oracle_shapes
+
+
+def test_stored_conjugates_are_conjugation_orbits_at_arity_5():
+    perms = pg.all_perms(5)
+    for c in pg.enumerate_subgroup_classes(5):
+        orbit = {o_conjugate(c.representative, s) for s in perms}
+        assert {frozenset(perms[i] for i in x) for x in c.conjugates} == orbit
 
 
 @pytest.mark.parametrize("r", [5, 6])
