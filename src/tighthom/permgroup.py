@@ -16,20 +16,24 @@ Every subgroup is closed by one kernel, ``_close``: coset extension (Dimino;
 Seress, Permutation Group Algorithms) over a list of generators, from the
 identity or from a starting group given with its generators.  Each generator
 not yet in the group extends it by whole cosets of the group built so far,
-and the loop stops once the group holds more than half of S_r.  ``closure``
-acts on tuples by right multiplication; the enumeration acts on indices into
-``all_perms(r)`` by left multiplication along a table.
+and the loop stops before a coset would take the group past half of S_r,
+which makes it S_r.  ``closure`` acts on tuples by right multiplication; the
+enumeration acts on indices into ``all_perms(r)`` by left multiplication
+along a table.
 
-The class lattice conjugates only in ``_conjugation_orbit``, a breadth-first
-orbit of an index-set subgroup under generators (``cyc(r)`` and the swap of
-slots 1 and 2 for S_r) that returns each conjugate with one conjugating
-element and the stabilizer's Schreier generators.  Each class keeps its
-conjugates, so "c embeds in d" is a subset test against d's representative.
-The enumeration moves onto each representative, by the orbit's conjugating
-element, the generators the class was built from (a join extends the class
-by a cyclic seed's generator) and its normalizer's: the Schreier generators
-thinned by ``_close``.  Seeds are skipped by normalizer orbits of their
-generating elements.
+The class lattice conjugates in two breadth-first orbits.  Subgroups are
+conjugated in ``_conjugation_orbit``, the orbit of an index-set subgroup
+under the generators ``cyc(r)`` and (1 2) of S_r, which returns each
+conjugate with one conjugating element and the stabilizer's Schreier
+generators.  Each class keeps its conjugates, so "c embeds in d" is a subset
+test against d's representative.  The enumeration moves onto each
+representative, by the orbit's conjugating element, the generators the class
+was built from (a join extends the class by a cyclic seed's generator) and
+its normalizer's: the Schreier generators thinned by ``_close``.  Elements
+are conjugated in the enumeration itself: the orbit of a seed's generating
+element under the normalizer's generators names, through each element's
+cyclic seed, the seeds whose joins land in the same class, and those are
+skipped.
 
 A "color set" for a permutation ``pi`` is the disjoint union of the left
 coset spaces of the maximal ``pi``-avoiding classes; colors are the atoms
@@ -189,28 +193,27 @@ def _close(ident, gens, act, full_size: int, start=None, start_gens=()):
     representative, so each new element costs one product.  The kept
     generators, ``start_gens`` first, alone generate the group.  A subgroup
     with more than half of the ``full_size`` elements of S_r is S_r itself
-    (Lagrange), so the loop stops there and the group comes back as None.
+    (Lagrange), so the loop stops before building a coset that would take the
+    group past half, and the group comes back as None.
     """
-    members = {ident} if start is None else set(start)
-    kept = list(start_gens)
-    steps = [act(g) for g in kept]
+    if start is None:
+        members, kept, steps = {ident}, [], []
+    else:
+        members, kept, steps = set(start), [*start_gens], [*map(act, start_gens)]
     for g in gens:
         if g in members:
             continue
         kept.append(g)
         steps.append(act(g))
-        old = list(members)
+        old = [*members]
         reps = [ident]
         for x in reps:
             for s in steps:
                 y = s(x)
                 if y not in members:
-                    if len(old) == 1:  # the trivial group's cosets are single elements
-                        members.add(y)
-                    else:
-                        members.update(map(act(y), old))
-                    if 2 * len(members) > full_size:
+                    if 2 * (len(members) + len(old)) > full_size:
                         return None, kept
+                    members.update(map(act(y), old))
                     reps.append(y)
     return members, kept
 
@@ -289,11 +292,12 @@ def _index_tables(r: int):
     return index, mul, inv, sym_gens
 
 
-def _conjugation_orbit(r: int, group: frozenset[int], gens) -> tuple[dict, list[int]]:
-    """The conjugates of ``group`` under ``<gens>``, breadth-first, each mapped to
-    one ``t`` with ``t . group . t^-1`` equal to it, and the stabilizer's Schreier
-    generators ``t_K^-1 . g . t_H``, one per step that meets a known conjugate."""
-    index, mul, inv, _ = _index_tables(r)
+def _conjugation_orbit(r: int, group: frozenset[int]) -> tuple[dict, list[int]]:
+    """The conjugates of ``group`` in S_r, breadth-first over its two generators,
+    each mapped to one ``t`` with ``t . group . t^-1`` equal to it, and the
+    stabilizer's Schreier generators ``t_K^-1 . g . t_H``, one per step that
+    meets a known conjugate."""
+    index, mul, inv, gens = _index_tables(r)
     orbit = {group: index[identity(r)]}
     schreier = []
     frontier = [group]
@@ -341,7 +345,7 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
     """
     _check_arity(r)
     perms = all_perms(r)
-    index, mul, inv, sym_gens = _index_tables(r)
+    index, mul, inv, _ = _index_tables(r)
     id_idx = index[identity(r)]
     full = len(perms)
 
@@ -364,7 +368,7 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
     def register(group: frozenset[int], gens: list[int]) -> None:
         if group in seen:
             return
-        orbit, schreier = _conjugation_orbit(r, group, sym_gens)
+        orbit, schreier = _conjugation_orbit(r, group)
         seen.update(orbit)
         key, canonical = min((tuple(sorted(perms[i] for i in g)), g) for g in orbit)
         s = orbit[canonical]

@@ -325,6 +325,25 @@ def test_epsclose_and_walk(tmp_path):
     assert out == "no walk found\n"
 
 
+def test_default_triples_refuse_oversized_hosts(tmp_path):
+    # --triples all builds the complete 3-graph on the host's vertex set
+    wide = tmp_path / "wide.hg"
+    wide.write_text("4 183\n0 1 2 3\n")
+    for argv in (
+        ("epsclose", "--input", str(wide), "--a", "0-91", "--b", "92-182", "--eps", "0"),
+        ("walk", "--input", str(wide), "--a", "0-91", "--b", "92-182", "--eps", "0",
+         "--start", "0,1,2", "--end", "3,4,92", "--pattern", "B,A,A,A,B,A"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tighthom.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: complete 3-graph on 183 vertices makes 1,004,731 vertex sets,"
+            " over GEN_MAX_SETS=1,000,000\n"
+        )
+
+
 def test_unknown_verb_is_usage_error():
     proc = subprocess.run(
         [sys.executable, "-m", "tighthom.cli", "frobnicate"], capture_output=True, text=True
