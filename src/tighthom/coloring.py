@@ -5,7 +5,10 @@ color set of a permutation ``pi`` such that (a) the assignment is
 equivariant (reordering the edge acts on the color) and (b) adjacent
 oriented edges (single-vertex replacements) get equal colors.  Such a
 coloring exists iff every connection group avoids ``pi``, which is the
-content of ``hom_free_iff_colorable_check``.
+content of ``hom_free_iff_colorable_check``.  A tight component can take the
+color ``g . gamma`` exactly when its connection group fixes that coset, that is
+when ``g^-1 . tc . g`` lies in ``gamma``; the build reads this off the action of
+the color set.
 
 At arity 4 with ``pi`` a rotation power, the coset data of an edge's color
 projects onto its four boundary triples, giving a triple coloring over the
@@ -28,8 +31,6 @@ from .permgroup import (
     ColorSet,
     Perm,
     color_set,
-    compose,
-    conjugators,
     cyc,
     cycle_type,
     identity,
@@ -81,42 +82,38 @@ def _replacement_degree(g: Hypergraph, e: Edge, slot: int) -> int:
 def build_accordant_coloring(g: Hypergraph, pi: Perm) -> OrientedColoring | None:
     """Construct an accordant coloring, or None when some connection group blocks it.
 
-    Per tight component: pick the first maximal avoiding class containing a
-    conjugate of the connection group (point stabilizers first, then class
-    order), conjugated so the stabilized slot sits at the component
-    representative's highest-replacement-degree slot; each edge then inherits
-    the coset that transports it onto the representative's plain component,
-    read off its potential.
+    Per tight component: take the first maximal avoiding class (point
+    stabilizers first, then class order) with a color ``(idx, g)`` that every
+    element of the connection group fixes; a fixed coset ``g . gamma`` carries a
+    conjugate ``g^-1 . tc . g`` of the group inside ``gamma``.  Among those
+    colors, a stabilizer of slot ``p`` takes the one putting ``g[p]`` (constant on
+    the coset) at the representative's highest-replacement-degree slot, and any
+    other class the least.  Each edge then inherits the color moved by the
+    inverse of its potential, which transports it onto the representative's
+    plain component.
     """
     if len(pi) != g.r:
         raise ValueError(f"permutation arity {len(pi)} != {g.r}")
     cs = color_set(g.r, pi)
-    ranked = sorted(
-        range(len(cs.classes)),
-        key=lambda i: (_is_point_stabilizer(cs.classes[i]) is None, i),
-    )
+    stabilized = [_is_point_stabilizer(c) for c in cs.classes]
+    ranked = sorted(range(len(cs.classes)), key=lambda i: (stabilized[i] is None, i))
     assignment: dict[Edge, Color] = {}
     for comp in tight_components(g):
         rep = comp.representative
-        chosen = None
         for idx in ranked:
-            cls = cs.classes[idx]
-            sigmas = [inverse(s) for s in conjugators(comp.tc, cls.representative, g.r)]
-            if not sigmas:
-                continue
-            p = _is_point_stabilizer(cls)
-            if p is not None:
-                sigma = min(sigmas, key=lambda s: (-_replacement_degree(g, rep, s[p]), s))
-            else:
-                sigma = min(sigmas)
-            chosen = (idx, sigma)
-            break
-        if chosen is None:
+            fixed = [c for c in cs.colors
+                     if c[0] == idx and all(cs.act(h, c) == c for h in comp.tc)]
+            if fixed:
+                break
+        else:
             return None
-        idx, sigma = chosen
-        # the coset of inverse(tau) . sigma is the same for every tau in tc . pe
+        p = stabilized[idx]
+        if p is None:
+            chosen = fixed[0]
+        else:
+            chosen = min(fixed, key=lambda c: (-_replacement_degree(g, rep, c[1][p]), c[1]))
         for e, pe in comp.potentials:
-            assignment[e] = cs.color(idx, compose(inverse(pe), sigma))
+            assignment[e] = cs.act(inverse(pe), chosen)
     return OrientedColoring(pi=pi, graph=g, colors=cs, assignment=assignment)
 
 

@@ -29,7 +29,6 @@ from .tightconn import (
     is_hom_free,
     is_valid_walk,
     oriented_edges,
-    plain_component,
     walk_distances,
 )
 
@@ -335,13 +334,14 @@ def verify_short_connection_bound(g: Hypergraph, eps) -> bool:
         return True
     bound = Fraction(2 * g.r + 1, 1) / eps**g.r
     seen: set = set()
-    for x in oriented_edges(g):
-        if x in seen:
+    for rep in oriented_edges(g):
+        if rep in seen:
             continue
-        comp = sorted(plain_component(g, x))
-        seen.update(comp)
-        rep = comp[0]
+        # a walk of stretch r replaces every slot once in place, and one in-place
+        # replacement is such a walk: residue 0 reaches exactly rep's plain component
         fwd = walk_distances(g, rep)
+        comp = [y for y, m in fwd if m == 0]
+        seen.update(comp)
         rev = _reverse_walk_distances(g, rep)
         ecc_out = max(Fraction(fwd[(y, 0)], g.r) for y in comp)
         ecc_in = max(Fraction(rev[(y, 0)], g.r) for y in comp)

@@ -25,15 +25,17 @@ The class lattice conjugates in two breadth-first orbits.  Subgroups are
 conjugated in ``_conjugation_orbit``, the orbit of an index-set subgroup
 under the generators ``cyc(r)`` and (1 2) of S_r, which returns each
 conjugate with one conjugating element and the stabilizer's Schreier
-generators.  Each class keeps its conjugates, so "c embeds in d" is a subset
-test against d's representative.  The enumeration moves onto each
-representative, by the orbit's conjugating element, the generators the class
-was built from (a join extends the class by a cyclic seed's generator) and
-its normalizer's: the Schreier generators thinned by ``_close``.  Elements
-are conjugated in the enumeration itself: the orbit of a seed's generating
-element under the normalizer's generators names, through each element's
-cyclic seed, the seeds whose joins land in the same class, and those are
-skipped.
+generators.  Each class keeps its conjugates, so "c embeds in d" between
+classes is a subset test against d's representative; ``embeds_in``, for
+arbitrary groups, tries every element of S_r.  The enumeration extends each
+new group as it was found, with the generators it was built from (a join
+extends a group by a cyclic seed's generator) and its normalizer's: the
+Schreier generators thinned by ``_close``.  Joins of conjugate groups land in
+the same classes, so no group is moved onto its class's representative.
+Elements are conjugated in the enumeration itself: the orbit of a seed's
+generating element under the normalizer's generators names, through each
+element's cyclic seed, the seeds whose joins land in the same class, and
+those are skipped.
 
 A "color set" for a permutation ``pi`` is the disjoint union of the left
 coset spaces of the maximal ``pi``-avoiding classes; colors are the atoms
@@ -339,9 +341,9 @@ def _class_name(r: int, canonical: tuple[Perm, ...], class_size: int) -> str | N
 def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
     """All subgroup conjugacy classes of the slot permutations, deterministically ordered.
 
-    Seeds with cyclic subgroups and repeatedly extends class representatives by
-    the seeds' generators until no new class appears; a new group's conjugation
-    orbit marks its class as seen and is kept on it.
+    Seeds with cyclic subgroups and extends the first group found in each class
+    by the seeds' generators until no new class appears; a new group's
+    conjugation orbit marks its class as seen and is kept on it.
     """
     _check_arity(r)
     perms = all_perms(r)
@@ -370,25 +372,20 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
             return
         orbit, schreier = _conjugation_orbit(r, group)
         seen.update(orbit)
-        key, canonical = min((tuple(sorted(perms[i] for i in g)), g) for g in orbit)
-        s = orbit[canonical]
-        row, s_inv = mul[s], inv[s]
-        _, normalizer_gens = _close(id_idx, schreier, step, full)
-        found.append((key, frozenset(orbit)))
-        queue.append((canonical, [mul[row[h]][s_inv] for h in gens],
-                      [mul[row[h]][s_inv] for h in normalizer_gens]))
+        found.append((min(tuple(sorted(perms[i] for i in g)) for g in orbit), frozenset(orbit)))
+        queue.append((group, gens, _close(id_idx, schreier, step, full)[1]))
 
     register(frozenset({id_idx}), [])
     while queue:
-        rep, gens, normalizer_gens = queue.pop()
-        # Joining with a seed conjugated by the normalizer of rep lands in the
+        group, gens, normalizer_gens = queue.pop()
+        # Joining with a seed conjugated by the normalizer of group lands in the
         # conjugacy class of the un-conjugated join, so one seed per
         # normalizer-orbit suffices: the seeds of the conjugates of its
         # generator under the normalizer's generators.
         conj = [(mul[n], inv[n]) for n in normalizer_gens]
         skip: set[int] = set()
         for seed, g in seeds.items():
-            if g in skip or seed <= rep:
+            if g in skip or seed <= group:
                 continue
             orbit = {g}
             frontier = [g]
@@ -399,7 +396,7 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
                         orbit.add(y)
                         frontier.append(y)
             skip.update(map(cyclic.__getitem__, frontier))
-            register(*close([g], rep, gens))
+            register(*close([g], group, gens))
 
     by_order: dict[int, int] = {}
     classes = []
@@ -421,23 +418,20 @@ def avoids(group, pi: Perm) -> bool:
     return cycle_type(pi) not in map(cycle_type, members)
 
 
-def conjugators(small, big, r: int):
-    """Every ``s``, in ``all_perms`` order, with ``s . small . s^-1`` inside ``big``.
+def embeds_in(small, big, r: int) -> bool:
+    """True iff some conjugate ``s . small . s^-1`` is contained in ``big``.
 
-    None exist unless ``|small|`` divides ``|big|`` (Lagrange), checked first.
+    None exists unless ``|small|`` divides ``|big|`` (Lagrange), checked first;
+    then every ``s`` in S_r is tried.
     """
     big_set = frozenset(big)
     if len(big_set) % len(frozenset(small)) != 0:
-        return
+        return False
     for s in all_perms(r):
         s_inv = inverse(s)
         if all(compose(s, compose(h, s_inv)) in big_set for h in small):
-            yield s
-
-
-def embeds_in(small, big, r: int) -> bool:
-    """True iff some conjugate of ``small`` is contained in ``big``."""
-    return next(conjugators(small, big, r), None) is not None
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)

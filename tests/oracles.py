@@ -39,6 +39,16 @@ def o_conjugate(group, s):
     return frozenset(o_compose(s, o_compose(h, s_inv)) for h in group)
 
 
+def o_conjugators(small, big):
+    """Every s, in lexicographic order, with s . small . s^-1 inside big."""
+    r = len(next(iter(big)))
+    big = set(big)
+    return [
+        s for s in itertools.permutations(range(r))
+        if all(o_compose(s, o_compose(h, o_inverse(s))) in big for h in small)
+    ]
+
+
 def o_closure(gens):
     r = len(next(iter(gens)))
     members = {tuple(range(r))}

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tighthom import coloring as col
+from tighthom import permgroup as pg
 from tighthom import tightconn as tcn
 from tighthom.hypergraph import (
     Hypergraph,
@@ -16,7 +18,7 @@ from tighthom.hypergraph import (
 )
 from tighthom.permgroup import all_perms, apply_to_tuple, cyc, identity, perm_power
 
-from oracles import o_accordant
+from oracles import o_accordant, o_compose, o_conjugators, o_inverse
 from strategies import hypergraphs
 
 
@@ -229,6 +231,62 @@ def test_verify_accordant_matches_oracle():
     chi = col.build_accordant_coloring(tight_cycle(4, 6), cyc(4))
     with pytest.raises(ValueError, match="built for a different graph"):
         col.verify_accordant(tight_cycle(4, 7), chi)
+
+
+def _conjugator_rule_assignment(g, pi):
+    """The coloring by the conjugator rule, from the definitions: per component the
+    first maximal avoiding class (point stabilizers first) holding a conjugate
+    ``sigma^-1 . tc . sigma``, a stabilizer of slot ``p`` taking the ``sigma`` whose
+    ``sigma[p]`` has the most replacement neighbours at the representative, then
+    the least ``sigma``; each edge gets the least member of ``pe^-1 . sigma . class``."""
+    classes = pg.maximal_avoiding_classes(g.r, pi)
+
+    def stabilized_slot(cls):
+        fixed = [i for i in range(g.r) if all(h[i] == i for h in cls.representative)]
+        return fixed[0] if len(fixed) == 1 and cls.order == math.factorial(g.r - 1) else None
+
+    def degree(e, slot):
+        rest = set(e) - {e[slot]}
+        return sum(1 for f in g.edges if f != e and rest <= set(f))
+
+    ranked = sorted(range(len(classes)), key=lambda i: (stabilized_slot(classes[i]) is None, i))
+    assignment = {}
+    for comp in tcn.tight_components(g):
+        for idx in ranked:
+            cls = classes[idx]
+            sigmas = [o_inverse(s) for s in o_conjugators(comp.tc, cls.representative)]
+            if sigmas:
+                break
+        else:
+            return None
+        p = stabilized_slot(cls)
+        if p is None:
+            sigma = min(sigmas)
+        else:
+            sigma = min(sigmas, key=lambda s: (-degree(comp.representative, s[p]), s))
+        for e, pe in comp.potentials:
+            x = o_compose(o_inverse(pe), sigma)
+            assignment[e] = (idx, min(o_compose(x, h) for h in cls.representative))
+    return assignment
+
+
+def test_build_matches_the_conjugator_rule():
+    rng = random.Random(29)
+    graphs = [tight_cycle(6, 14)]
+    for i in range(200):
+        r = 2 + i % 4
+        n = rng.randint(r + 1, 7)
+        pool = list(itertools.combinations(range(n), r))
+        graphs.append(Hypergraph(r, n, rng.sample(pool, rng.randint(1, min(len(pool), 15)))))
+    verdicts = Counter()
+    for g in graphs:
+        for k in range(1, g.r):
+            pi = perm_power(cyc(g.r), k)
+            chi = col.build_accordant_coloring(g, pi)
+            want = _conjugator_rule_assignment(g, pi)
+            assert (chi and chi.assignment) == want
+            verdicts[want is not None] += 1
+    assert verdicts[True] and verdicts[False]  # both outcomes are refereed
 
 
 @settings(max_examples=25)

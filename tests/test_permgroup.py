@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import random
 import subprocess
@@ -18,6 +17,7 @@ from oracles import (
     o_closure,
     o_compose,
     o_conjugate,
+    o_conjugators,
     o_greedy_generators,
     o_inverse,
 )
@@ -364,7 +364,8 @@ def test_avoiding_identity_is_impossible():
         assert pg.color_set(r, pg.identity(r)).colors == ()
 
 
-@given(perms4, st.sampled_from(pg.enumerate_subgroup_classes(4)))
+# deferred, so a broken enumeration fails this test instead of hanging collection
+@given(perms4, st.deferred(lambda: st.sampled_from(pg.enumerate_subgroup_classes(4))))
 def test_avoids_is_conjugation_invariant(s, cls):
     rot = pg.cyc(4)
     assert pg.avoids(o_conjugate(cls.representative, s), rot) == pg.avoids(
@@ -411,7 +412,7 @@ def test_maximal_avoiding_matches_embedding_definition(r, pi):
     avoiding = [c for c in pg.enumerate_subgroup_classes(r) if pg.avoids(c.representative, pi)]
     want = tuple(
         c for c in avoiding
-        if not any(d.order > c.order and pg.embeds_in(c.representative, d.representative, r)
+        if not any(d.order > c.order and o_conjugators(c.representative, d.representative)
                    for d in avoiding)
     )
     assert pg.maximal_avoiding_classes(r, pi) == want
@@ -459,19 +460,15 @@ def test_embeds_in():
     )
 
 
-def test_conjugators_match_definition():
+def test_embeds_in_matches_definition():
     classes = pg.enumerate_subgroup_classes(4)
+    verdicts = set()
     for small in classes:
         for big in classes:
-            members = set(big.representative)
-            want = [
-                s
-                for s in itertools.permutations(range(4))
-                if all(o_compose(s, o_compose(h, o_inverse(s))) in members for h in small.representative)
-            ]
-            got = list(pg.conjugators(small.representative, big.representative, 4))
-            assert got == want
-            assert pg.embeds_in(small.representative, big.representative, 4) == bool(want)
+            want = bool(o_conjugators(small.representative, big.representative))
+            assert pg.embeds_in(small.representative, big.representative, 4) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_color_set_is_shared():

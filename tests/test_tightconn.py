@@ -132,6 +132,22 @@ def test_components_match_oracle(g):
             assert tcn.plain_component(g, x) == o_plain_component(g.edges, g.n, g.r, x)
 
 
+def test_residue_zero_reach_is_the_plain_component():
+    # a tight walk of stretch divisible by r reaches exactly the start's plain component
+    rng = random.Random(31)
+    for i in range(45):
+        r = 2 + i % 3
+        n = rng.randint(r + 1, 7)
+        pool = list(itertools.combinations(range(n), r))
+        g = Hypergraph(r, n, rng.sample(pool, rng.randint(1, min(len(pool), 12))))
+        plain = {}
+        for x in tcn.oriented_edges(g):
+            if x not in plain:
+                comp = o_plain_component(g.edges, g.n, g.r, x)
+                plain.update(dict.fromkeys(comp, comp))
+            assert {y for y, m in tcn.walk_distances(g, x) if m == 0} == plain[x]
+
+
 @settings(max_examples=12)
 @given(hypergraphs(r_values=(5, 6), max_n=8, max_edges=4))
 def test_wide_arity_components_match_oracle(g):
