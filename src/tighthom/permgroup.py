@@ -16,10 +16,11 @@ Every subgroup is closed by one kernel, ``_close``: coset extension (Dimino;
 Seress, Permutation Group Algorithms) over a list of generators, from the
 identity or from a starting group given with its generators.  Each generator
 not yet in the group extends it by whole cosets of the group built so far,
-and the loop stops before a coset would take the group past half of S_r,
-which makes it S_r.  ``closure`` acts on tuples by right multiplication; the
-enumeration acts on indices into ``all_perms(r)`` by left multiplication
-along a table.
+and the loop stops before a coset would take the group past a given size:
+half of S_r for ``closure``, which makes it S_r, and index r for the
+enumeration's joins, where the generators' parity tells A_r from S_r.
+``closure`` acts on tuples by right multiplication; the enumeration acts on
+indices into ``all_perms(r)`` by left multiplication along a table.
 
 The class lattice conjugates in two breadth-first orbits.  Subgroups are
 conjugated in ``_conjugation_orbit``, the orbit of an index-set subgroup
@@ -181,7 +182,7 @@ def all_perms(r: int) -> tuple[Perm, ...]:
     return tuple(itertools.permutations(range(r)))
 
 
-def _close(ident, gens, act, full_size: int, start=None, start_gens=()):
+def _close(ident, gens, act, limit: int, start=None, start_gens=()):
     """The group ``gens`` generate, grown by whole cosets, and the generators kept.
 
     Growth starts from ``start``, a closed group that ``start_gens`` generate,
@@ -193,10 +194,10 @@ def _close(ident, gens, act, full_size: int, start=None, start_gens=()):
     Permutation Groups): a representative times a kept generator that falls
     outside the group brings in its whole coset of ``H`` and becomes a
     representative, so each new element costs one product.  The kept
-    generators, ``start_gens`` first, alone generate the group.  A subgroup
-    with more than half of the ``full_size`` elements of S_r is S_r itself
-    (Lagrange), so the loop stops before building a coset that would take the
-    group past half, and the group comes back as None.
+    generators, ``start_gens`` first, alone generate the group.  The loop stops
+    before a coset would take the group past ``limit`` elements and returns
+    None with the generators kept so far: past half of r! the group is S_r
+    (Lagrange), and the enumeration stops its joins sooner, past index r.
     """
     if start is None:
         members, kept, steps = {ident}, [], []
@@ -213,7 +214,7 @@ def _close(ident, gens, act, full_size: int, start=None, start_gens=()):
             for s in steps:
                 y = s(x)
                 if y not in members:
-                    if 2 * (len(members) + len(old)) > full_size:
+                    if len(members) + len(old) > limit:
                         return None, kept
                     members.update(map(act(y), old))
                     reps.append(y)
@@ -226,7 +227,7 @@ def closure(perms) -> frozenset[Perm]:
     if not gens:
         raise ValueError("need at least one permutation to infer arity")
     r = len(gens[0])
-    members, _ = _close(identity(r), gens, right_mul, math.factorial(r))
+    members, _ = _close(identity(r), gens, right_mul, math.factorial(r) // 2)
     return frozenset(itertools.permutations(range(r)) if members is None else members)
 
 
@@ -235,7 +236,7 @@ def minimal_generators(group) -> tuple[Perm, ...]:
     sorted elements, each one not in the span of those before it."""
     elements = sorted(group)
     r = len(elements[0])
-    _, gens = _close(identity(r), elements, right_mul, math.factorial(r))
+    _, gens = _close(identity(r), elements, right_mul, math.factorial(r) // 2)
     return tuple(gens) if gens else (identity(r),)
 
 
@@ -278,17 +279,18 @@ def _index_tables(r: int):
     index = {p: i for i, p in enumerate(perms)}
     swap = (1, 0) + tuple(range(2, r))
     sym_gens = (index[cyc(r)], index[swap])
-    gen_rows = [(s, [index[compose(perms[s], b)] for b in perms]) for s in sym_gens]
+    gen_rows = [(s, operator.itemgetter(*[index[compose(perms[s], b)] for b in perms]))
+                for s in sym_gens]
     id_idx = index[identity(r)]
     mul = [None] * len(perms)
-    mul[id_idx] = list(range(len(perms)))
+    mul[id_idx] = tuple(range(len(perms)))
     frontier = [id_idx]
     for a in frontier:
         row = mul[a]
         for s, row_s in gen_rows:
             b = row[s]
             if mul[b] is None:
-                mul[b] = list(map(row.__getitem__, row_s))
+                mul[b] = row_s(row)
                 frontier.append(b)
     inv = [row.index(id_idx) for row in mul]
     return index, mul, inv, sym_gens
@@ -343,19 +345,31 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
 
     Seeds with cyclic subgroups and extends the first group found in each class
     by the seeds' generators until no new class appears; a new group's
-    conjugation orbit marks its class as seen and is kept on it.
+    conjugation orbit marks its class as seen and is kept on it.  A join stops
+    once it passes index r in S_r, and its generators' parity then tells A_r
+    from S_r.
     """
     _check_arity(r)
     perms = all_perms(r)
     index, mul, inv, _ = _index_tables(r)
     id_idx = index[identity(r)]
     full = len(perms)
+    sym, alt = frozenset(range(full)), frozenset(i for i, p in enumerate(perms) if is_even(p))
+    # For r != 4, A_r is the only proper subgroup of S_r of index below r (Dixon
+    # and Mortimer, Permutation Groups, Thm 5.2B): S_r acts on its k < r cosets
+    # through S_k, so the kernel, a normal subgroup of index at most k! inside
+    # it, is A_r or S_r.  At r = 4 the kernel can be the Klein group (D4 has
+    # index 3), so joins there stop only past index 2.
+    limit = full // 2 if r == 4 else full // r
 
     step = lambda g: mul[g].__getitem__  # left multiplication by g
 
     def close(gens, start=None, start_gens=()) -> tuple[frozenset[int], list[int]]:
-        members, kept = _close(id_idx, gens, step, full, start, start_gens)
-        return frozenset(range(full)) if members is None else frozenset(members), kept
+        members, kept = _close(id_idx, gens, step, limit, start, start_gens)
+        if members is None:  # A_r if every generator is even, else S_r
+            even = alt.issuperset(gens) and (start is None or start <= alt)
+            return alt if even else sym, kept
+        return frozenset(members), kept
 
     seeds: dict[frozenset[int], int] = {}
     cyclic = [id_idx] * full  # each element's cyclic seed, by that seed's first generator
@@ -373,7 +387,7 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
         orbit, schreier = _conjugation_orbit(r, group)
         seen.update(orbit)
         found.append((min(tuple(sorted(perms[i] for i in g)) for g in orbit), frozenset(orbit)))
-        queue.append((group, gens, _close(id_idx, schreier, step, full)[1]))
+        queue.append((group, gens, _close(id_idx, schreier, step, full // 2)[1]))
 
     register(frozenset({id_idx}), [])
     while queue:
@@ -487,10 +501,11 @@ def color_set(r: int, pi: Perm) -> ColorSet:
     cosets = []
     for idx, c in enumerate(classes):
         least: dict[Perm, Perm] = {}
+        getters = [right_mul(h) for h in c.representative]
         for g in all_perms(r):
             if g not in least:
                 colors.append((idx, g))
-                least.update((compose(g, h), g) for h in c.representative)
+                least.update(dict.fromkeys([m(g) for m in getters], g))
         cosets.append(least)
     return ColorSet(r=r, pi=pi, classes=classes, colors=tuple(colors), cosets=tuple(cosets))
 

@@ -3,13 +3,14 @@
 import itertools
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import o_max_hom_free, o_prune_low_codegree
+from oracles import o_max_hom_free, o_plain_component, o_prune_low_codegree
 from strategies import hypergraphs
 from tighthom import extremal
 from tighthom.extremal import (
@@ -301,6 +302,47 @@ def test_short_connection_rejects_unpruned_input():
         verify_short_connection_bound(Hypergraph(4, 5, [(0, 1, 2, 3)]), 0.3)
     with pytest.raises(ValueError):
         verify_short_connection_bound(Hypergraph(4, 6, []), 0)
+
+
+def _pruned_inputs():
+    """Codegree fixpoints, most with several plain components."""
+    rng = random.Random(34)
+    yield union_fixture(), Fraction(1, 16)
+    yield tight_cycle(4, 9), Fraction(1, 16)
+    yield tight_cycle(3, 7), Fraction(1, 8)
+    two_k4 = [e for part in (range(4), range(4, 8)) for e in itertools.combinations(part, 2)]
+    yield Hypergraph(2, 8, two_k4), Fraction(1, 4)
+    for r, n, p in ((2, 8, 0.3), (2, 9, 0.3), (3, 6, 0.3), (3, 7, 0.5)):
+        edges = [e for e in itertools.combinations(range(n), r) if rng.random() < p]
+        eps = Fraction(1, n + 1)
+        yield prune_low_codegree(Hypergraph(r, n, edges), eps)[0], eps
+
+
+def test_short_connection_audits_each_plain_component_once(monkeypatch):
+    # reverse distances far past every bound here send each component to the
+    # quadratic pass, whose walk searches start from each audited window in turn
+    starts = []
+
+    def recording(g, x):
+        starts.append(tuple(x))
+        return walk_distances(g, x)
+
+    monkeypatch.setattr(extremal, "walk_distances", recording)
+    monkeypatch.setattr(extremal, "_reverse_walk_distances",
+                        lambda g, x: defaultdict(lambda: 10**12))
+    for g, eps in _pruned_inputs():
+        starts.clear()
+        assert verify_short_connection_bound(g, eps)
+        done, pos = set(), 0
+        while pos < len(starts):
+            # each component starts from the least window outside the earlier ones
+            rep = starts[pos]
+            assert rep == min(x for x in oriented_edges(g) if x not in done)
+            comp = o_plain_component(g.edges, g.n, g.r, rep)
+            assert sorted(starts[pos + 1 : pos + 1 + len(comp)]) == sorted(comp)
+            done |= comp
+            pos += 1 + len(comp)
+        assert done == set(oriented_edges(g))
 
 
 def test_reverse_walk_distances_mirror_forward():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import subprocess
@@ -176,12 +177,13 @@ def test_close_extends_a_start_group_to_the_oracle_closure():
             extra = _random_gens(rng, r, rng.randint(1, 3))
             start = o_closure(start_gens)
             want = o_closure(start_gens + extra)
-            members, kept = pg._close(pg.identity(r), extra, pg.right_mul, full, start, start_gens)
+            members, kept = pg._close(pg.identity(r), extra, pg.right_mul, full // 2,
+                                      start, start_gens)
             assert (members or frozenset(pg.all_perms(r))) == want
             assert kept == o_greedy_generators(extra, start_gens)
             # the index form grows by left multiplication along the table
             members, _ = pg._close(index[pg.identity(r)], [index[g] for g in extra],
-                                   lambda g: mul[g].__getitem__, full,
+                                   lambda g: mul[g].__getitem__, full // 2,
                                    {index[p] for p in start}, [index[g] for g in start_gens])
             assert {pg.all_perms(r)[i] for i in members or range(full)} == want
 
@@ -193,11 +195,81 @@ def test_kept_generators_are_each_outside_the_span_so_far():
             gens = _random_gens(rng, r, rng.randint(1, 5))
             group = o_closure(gens)
             assert pg.closure(gens) == group
-            _, kept = pg._close(pg.identity(r), gens, pg.right_mul, math.factorial(r))
+            _, kept = pg._close(pg.identity(r), gens, pg.right_mul, math.factorial(r) // 2)
             assert kept == o_greedy_generators(gens)
             minimal = pg.minimal_generators(group)
             assert o_closure(minimal) == group
             assert list(minimal) == (o_greedy_generators(sorted(group)) or [pg.identity(r)])
+
+
+def _slot_gens(rng, r, count):
+    """Random permutations, each moving a random subset of the slots, so that
+    joins land on small groups as well as on A_r and S_r."""
+    gens = []
+    for _ in range(count):
+        slots = rng.sample(range(r), rng.randint(2, r))
+        p = list(range(r))
+        for a, b in zip(slots, rng.sample(slots, len(slots))):
+            p[a] = b
+        gens.append(tuple(p))
+    return gens
+
+
+def _is_even(p):
+    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2 == 0
+
+
+@pytest.mark.parametrize("r, trials", [(3, 30), (5, 30), (6, 8)])
+def test_join_passes_index_r_only_at_the_alternating_or_full_group(r, trials):
+    rng = random.Random(14)
+    limit = math.factorial(r - 1)
+    index, mul, _, _ = pg._index_tables(r)
+    alternating = {p for p in pg.all_perms(r) if _is_even(p)}
+    seen = set()
+    for _ in range(trials):
+        start_gens = _slot_gens(rng, r, rng.randint(1, 2))
+        start = o_closure(start_gens)
+        if len(start) == math.factorial(r):
+            continue
+        g = _slot_gens(rng, r, 1)[0]
+        while g in start:
+            g = _slot_gens(rng, r, 1)[0]
+        want = o_closure(start_gens + [g])
+        members, kept = pg._close(pg.identity(r), [g], pg.right_mul, limit, start, start_gens)
+        assert kept == start_gens + [g]
+        assert (members is None) == (len(want) > limit)
+        if members is None:
+            assert (want == alternating) == all(map(_is_even, start_gens + [g]))
+            assert want in (alternating, set(pg.all_perms(r)))
+        else:
+            assert members == want
+        seen.add(len(want) if members is None else "small")
+        # the index form stops at the same point
+        members, _ = pg._close(index[pg.identity(r)], [index[g]], lambda g: mul[g].__getitem__,
+                               limit, {index[p] for p in start}, [index[p] for p in start_gens])
+        assert (members is None) == (len(want) > limit)
+        assert members is None or {pg.all_perms(r)[i] for i in members} == want
+    assert seen == {"small", math.factorial(r) // 2, math.factorial(r)}
+    # exactly (r-1)! elements is not past the stop: A_{r-1} on the first r - 1
+    # slots (consecutive 3-cycles) joined with a transposition is S_{r-1}
+    start_gens = [tuple({k: k + 1, k + 1: k + 2, k + 2: k}.get(i, i) for i in range(r))
+                  for k in range(r - 3)]
+    start, swap = o_closure(start_gens or [pg.identity(r)]), (1, 0) + tuple(range(2, r))
+    members, _ = pg._close(pg.identity(r), [swap], pg.right_mul, limit, start, start_gens)
+    assert len(members) == limit
+
+
+def test_join_stop_at_index_r_misreads_arity_4():
+    # D4 = <(1 2 3 4), (1 3)> has index 3 in S4: past 3! elements but neither A4
+    # nor S4, so the enumeration stops joins at arity 4 only past half of S4
+    rotation, flip = (1, 2, 3, 0), (2, 1, 0, 3)
+    d4 = o_closure([rotation, flip])
+    assert len(d4) == 8 > math.factorial(3) and not all(map(_is_even, d4))
+    start = o_closure([rotation])
+    assert pg._close(pg.identity(4), [flip], pg.right_mul, 6, start, [rotation])[0] is None
+    assert pg._close(pg.identity(4), [flip], pg.right_mul, 12, start, [rotation])[0] == d4
+    d4_indices = frozenset(map(pg._index_tables(4)[0].__getitem__, d4))
+    assert pg.class_by_name(4, "D4").conjugates >= {d4_indices}
 
 
 def test_identity_compose_inverse():
