@@ -402,9 +402,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tight-cycle homomorphism avoidance: groups, colorings, censuses, search.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    graph_in = argparse.ArgumentParser(add_help=False)
+    graph_in.add_argument("--input", required=True)
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument("--assert", dest="strict", action="store_true")
+    parts = argparse.ArgumentParser(add_help=False)
+    parts.add_argument("--a", required=True, help="part A, e.g. 0-5")
+    parts.add_argument("--b", required=True, help="part B, e.g. 6-11")
+    parts.add_argument("--triples", default="all", help="'all' or a triple file")
+    parts.add_argument("--eps", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler, *parents, **kwargs):
+        p = sub.add_parser(name, parents=parents, **kwargs)
         p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("text", "records"), default="text")
         return p
@@ -427,28 +436,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--output")
 
-    p = add("check", _cmd_check, help="hom-freeness per residue, with witnesses")
-    p.add_argument("--input", required=True)
+    p = add("check", _cmd_check, graph_in, strict, help="hom-freeness per residue, with witnesses")
     p.add_argument("--k", default="all", help="residue list or 'all'")
-    p.add_argument("--assert", dest="strict", action="store_true")
 
-    p = add("tc", _cmd_tc, help="tight components and their connection groups")
-    p.add_argument("--input", required=True)
+    add("tc", _cmd_tc, graph_in, help="tight components and their connection groups")
 
-    p = add("color", _cmd_color, help="build an accordant coloring for cyc^k")
-    p.add_argument("--input", required=True)
+    p = add("color", _cmd_color, graph_in, strict, help="build an accordant coloring for cyc^k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--triple", action="store_true", help="derive the triple coloring (arity 4)")
     p.add_argument("--roundtrip", action="store_true", help="verify the triple round-trip")
-    p.add_argument("--assert", dest="strict", action="store_true")
 
-    p = add("census", _cmd_census, help="triangle census and inequality report")
+    p = add("census", _cmd_census, strict, help="triangle census and inequality report")
     p.add_argument("--input", help="edge-coloring file")
     p.add_argument("--random-n", type=int, help="random coloring size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--assert", dest="strict", action="store_true")
 
-    p = add("fopt", _cmd_fopt, help="certified grid maximization of the density bound")
+    p = add("fopt", _cmd_fopt, help="float grid scan of the density bound, with a Lipschitz bound")
     p.add_argument("--step", default="1/40", help="grid step as a fraction")
     p.add_argument("--refinements", type=int, default=2)
     p.add_argument("--gamma2delta-max", help="restrict to gamma + 2 delta <= X")
@@ -466,29 +469,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, plain search only")
 
-    p = add("prune", _cmd_prune, help="codegree pruning to a fixpoint")
-    p.add_argument("--input", required=True)
+    p = add("prune", _cmd_prune, graph_in, help="codegree pruning to a fixpoint")
     p.add_argument("--eps", required=True)
     p.add_argument("--output")
 
-    p = add("epsclose", _cmd_epsclose, help="closeness audit against odd bipartite")
-    p.add_argument("--input", required=True)
-    p.add_argument("--a", required=True, help="part A, e.g. 0-5")
-    p.add_argument("--b", required=True, help="part B, e.g. 6-11")
-    p.add_argument("--triples", default="all", help="'all' or a triple file")
-    p.add_argument("--eps", required=True)
-    p.add_argument("--assert", dest="strict", action="store_true")
+    add("epsclose", _cmd_epsclose, graph_in, parts, strict,
+        help="closeness audit against odd bipartite")
 
-    p = add("walk", _cmd_walk, help="tight walk through a triple family")
-    p.add_argument("--input", required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--triples", default="all")
-    p.add_argument("--eps", required=True)
+    p = add("walk", _cmd_walk, graph_in, parts, strict, help="tight walk through a triple family")
     p.add_argument("--start", required=True, help="ordered start triple, e.g. 1,0,3")
     p.add_argument("--end", required=True, help="ordered end triple")
     p.add_argument("--pattern", required=True, help="comma tokens: vertex, A, or B")
-    p.add_argument("--assert", dest="strict", action="store_true")
 
     return parser
 

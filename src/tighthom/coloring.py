@@ -200,7 +200,7 @@ def _face_patterns(cs: ColorSet) -> tuple[dict[Color, tuple], dict[tuple, tuple[
         faces = []
         for j in range(4):
             u = slots[:j] + slots[j + 1 :] + (j,)
-            idx, rho = cs.act(reorder_perm(slots, u), color)
+            idx, rho = cs.act(inverse(u), color)  # u permutes the slots
             faces.append(_classify_face(u, cs.classes[idx], rho))
         faces = patterns[color] = tuple(faces)
         colors_of[faces] = colors_of.get(faces, ()) + (color,)
@@ -236,18 +236,17 @@ class TripleColoring4:
     """Values on all triples of 0..n-1; uncovered triples are free."""
 
     n: int
-    k: int
     assignment: dict[tuple[int, int, int], FaceValue] = field(default_factory=dict)
 
     def value(self, t) -> FaceValue:
         return self.assignment[tuple(sorted(t))]
 
 
-def _check_triple_residue(g: Hypergraph, k: int) -> None:
+def _check_triple_pi(g: Hypergraph, pi: Perm) -> None:
     if g.r != 4:
         raise ValueError("triple colorings need arity 4")
-    if k % 4 not in (1, 2, 3):
-        raise ValueError("residue must be one of 1, 2, 3")
+    if cycle_type(pi) not in ((4,), (2, 2)):  # those of cyc, cyc^3 and cyc^2
+        raise ValueError("triple colorings need pi conjugate to cyc, cyc^2 or cyc^3")
 
 
 def triple_coloring_from_accordant(chi: OrientedColoring) -> TripleColoring4:
@@ -257,14 +256,8 @@ def triple_coloring_from_accordant(chi: OrientedColoring) -> TripleColoring4:
     that consistency is checked while collecting (RuntimeError otherwise).
     """
     g = chi.graph
-    k = next(
-        (k for k in (1, 2, 3) if cycle_type(perm_power(cyc(4), k)) == cycle_type(chi.pi)),
-        None,
-    )
-    if k is None:
-        raise ValueError("triple colorings need a rotation-power pi")
-    _check_triple_residue(g, k)
-    out = TripleColoring4(n=g.n, k=k)
+    _check_triple_pi(g, chi.pi)
+    out = TripleColoring4(n=g.n)
     for e in g.edges:
         for j, value in enumerate(_face_values(e, chi.assignment[e], chi.colors)):
             t = e[:j] + e[j + 1 :]
@@ -288,9 +281,9 @@ def _face_matches(g: Hypergraph, tc4: TripleColoring4, cs: ColorSet):
 
 def verify_boundary_patterns(g: Hypergraph, tc4: TripleColoring4, k: int) -> bool:
     """Does some color of cyc^k induce exactly the stored values on each edge's faces?"""
-    _check_triple_residue(g, k)
-    cs = color_set(4, perm_power(cyc(4), k))
-    return all(matches for _, matches in _face_matches(g, tc4, cs))
+    pi = perm_power(cyc(4), k)
+    _check_triple_pi(g, pi)
+    return all(matches for _, matches in _face_matches(g, tc4, color_set(4, pi)))
 
 
 def accordant_from_triple_coloring(
@@ -301,8 +294,9 @@ def accordant_from_triple_coloring(
     Face values pin the color of each edge uniquely; returns None when some
     edge matches no color.
     """
-    _check_triple_residue(g, k)
-    cs = color_set(4, perm_power(cyc(4), k))
+    pi = perm_power(cyc(4), k)
+    _check_triple_pi(g, pi)
+    cs = color_set(4, pi)
     assignment: dict[Edge, Color] = {}
     for e, matches in _face_matches(g, tc4, cs):
         if not matches:
@@ -310,9 +304,7 @@ def accordant_from_triple_coloring(
         if len(matches) != 1:
             raise RuntimeError(f"face values fail to pin the color of {e}")
         assignment[e] = matches[0]
-    chi = OrientedColoring(
-        pi=perm_power(cyc(4), k), graph=g, colors=cs, assignment=assignment
-    )
+    chi = OrientedColoring(pi=pi, graph=g, colors=cs, assignment=assignment)
     if not verify_accordant(g, chi):
         raise RuntimeError("coloring rebuilt from triple values fails the accordance check")
     return chi

@@ -38,6 +38,12 @@ Edge = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # exhaustive search
 
+# The largest edge pool a search, or the greedy packing behind its refusal, is
+# started on.  The packing makes one hom-freeness check per pool edge on a
+# growing graph: 495 edges (n = 12, r = 4) take about 2 s, 462 at r = 6
+# (n = 11) 3.5 s with every residue, and each vertex more at r = 4 about doubles it.
+SEARCH_MAX_POOL = 500
+
 
 class BudgetExceededError(Exception):
     """Search space too large for the given budget.
@@ -91,8 +97,7 @@ def _search_subtree(args):
     bounds, so each returns every tying leaf it saw; the merge keeps the
     global maximum. Module-level for pickling.
     """
-    n, r, residues, prefix = args
-    pool = _colex_edges(n, r)
+    n, r, residues, pool, prefix = args
     explored = 0
     best = -1
     witnesses: list[tuple[Edge, ...]] = []
@@ -156,8 +161,7 @@ def _canonical_form(n: int, edges) -> tuple[Edge, ...]:
     return best
 
 
-def _search_canonical(n: int, r: int, residues) -> tuple[int, list[tuple[Edge, ...]], int]:
-    pool = _colex_edges(n, r)
+def _search_canonical(n: int, r: int, residues, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
     level: set[tuple[Edge, ...]] = {()}
     depth = 0
     explored = 0
@@ -199,8 +203,9 @@ def brute_force_ex_hom(
     split. Witnesses come sorted by their sorted edge tuples.
 
     Raises BudgetExceededError (carrying a greedy lower bound) when the cap
-    is exceeded, ValueError for bad arguments or an arity above MAX_ARITY
-    (every candidate closes a connection group inside S_r), before any work.
+    is exceeded. Raises ValueError before any work for bad arguments, an
+    arity above MAX_ARITY (every candidate closes a connection group inside
+    S_r), or C(n, r) above SEARCH_MAX_POOL.
     """
     if n < 0 or r < 1:
         raise ValueError(f"bad search domain n={n}, r={r}")
@@ -211,25 +216,22 @@ def brute_force_ex_hom(
     ks = frozenset(k % r for k in residues)
     if not ks:
         raise ValueError("need at least one residue")
+    if (size := math.comb(n, r)) > SEARCH_MAX_POOL:
+        raise ValueError(f"search pool of {size:,} edges, over {SEARCH_MAX_POOL=:,}")
     pool = _colex_edges(n, r)
-    if canonical:
-        if n > 8:
-            kept, seen = _greedy_pack(n, r, ks, pool)
-            raise BudgetExceededError(
-                f"canonical search is capped at 8 vertices, got {n}",
-                len(kept), Hypergraph(r, n, kept), seen,
-            )
-        max_edges, forms, explored = _search_canonical(n, r, ks)
-        witnesses = tuple(Hypergraph(r, n, form) for form in forms)
-        return SearchResult(n, r, ks, max_edges, witnesses, explored, True, True)
-    if len(pool) > budget:
+    if (n > 8) if canonical else (size > budget):
         kept, seen = _greedy_pack(n, r, ks, pool)
         raise BudgetExceededError(
-            f"pool of {len(pool)} edges exceeds budget {budget}",
+            f"canonical search is capped at 8 vertices, got {n}" if canonical
+            else f"pool of {size} edges exceeds budget {budget}",
             len(kept), Hypergraph(r, n, kept), seen,
         )
-    width = min(2, len(pool))
-    tasks = [(n, r, ks, bits) for bits in itertools.product((0, 1), repeat=width)]
+    if canonical:
+        max_edges, forms, explored = _search_canonical(n, r, ks, pool)
+        witnesses = tuple(Hypergraph(r, n, form) for form in forms)
+        return SearchResult(n, r, ks, max_edges, witnesses, explored, True, True)
+    width = min(2, size)
+    tasks = [(n, r, ks, pool, bits) for bits in itertools.product((0, 1), repeat=width)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with multiprocessing.Pool(processes=workers) as procs:

@@ -62,7 +62,7 @@ def identity(r: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Left-to-right action composition: apply ``q`` first, then ``p``."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return right_mul(q)(p)
 
 
 def inverse(p: Perm) -> Perm:
@@ -99,16 +99,15 @@ def cyc(r: int) -> Perm:
 
 @lru_cache(maxsize=1024)  # rotation powers are asked for once per verdict
 def perm_power(p: Perm, e: int) -> Perm:
-    r = len(p)
-    out = identity(r)
-    e %= order_of(p)
-    for _ in range(e):
-        out = compose(p, out)
+    step = right_mul(p)  # powers of p commute, so out . p is p . out
+    out = identity(len(p))
+    for _ in range(e % order_of(p)):
+        out = step(out)
     return out
 
 
 def order_of(p: Perm) -> int:
-    return math.lcm(*(len(c) for c in cycles_of(p)))
+    return math.lcm(*cycle_type(p))
 
 
 def cycles_of(p: Perm) -> tuple[tuple[int, ...], ...]:
@@ -143,7 +142,7 @@ def cycle_type(p: Perm) -> tuple[int, ...]:
 
 
 def is_even(p: Perm) -> bool:
-    return (len(p) - len(cycles_of(p))) % 2 == 0
+    return (len(p) - len(cycle_type(p))) % 2 == 0
 
 
 def format_perm(p: Perm) -> str:
@@ -386,7 +385,8 @@ def enumerate_subgroup_classes(r: int) -> tuple[SubgroupClass, ...]:
             return
         orbit, schreier = _conjugation_orbit(r, group)
         seen.update(orbit)
-        found.append((min(tuple(sorted(perms[i] for i in g)) for g in orbit), frozenset(orbit)))
+        # all_perms is lexicographic, so the least sorted index list is the least tuple
+        found.append((tuple(map(perms.__getitem__, min(map(sorted, orbit)))), frozenset(orbit)))
         queue.append((group, gens, _close(id_idx, schreier, step, full // 2)[1]))
 
     register(frozenset({id_idx}), [])

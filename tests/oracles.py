@@ -33,6 +33,19 @@ def o_apply(p, x):
     return tuple(out)
 
 
+def o_parity(p):
+    """0 for an even permutation, 1 for an odd one, by counting inversions."""
+    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2
+
+
+def o_order(p):
+    """The least e >= 1 with p^e the identity."""
+    ident, power, e = tuple(range(len(p))), tuple(p), 1
+    while power != ident:
+        power, e = o_compose(p, power), e + 1
+    return e
+
+
 def o_conjugate(group, s):
     """The subgroup s . group . s^-1."""
     s_inv = o_inverse(s)

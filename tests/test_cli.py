@@ -279,6 +279,18 @@ def test_search_refuses_arity_above_max():
     assert "arity 9" in proc.stderr
 
 
+@pytest.mark.parametrize("mode", [(), ("--canonical",)])
+def test_search_refuses_oversized_pool_at_once(mode):
+    proc = subprocess.run(
+        [sys.executable, "-m", "tighthom.cli", "search", "--n", "100", "--r", "4", "--k", "1", *mode],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: search pool of 3,921,225 edges, over SEARCH_MAX_POOL=500\n"
+
+
 def test_search_records_roundtrip():
     out = run_cli("search", "--n", "5", "--r", "4", "--k", "1", "--format", "records")
     lines = out.splitlines()

@@ -340,6 +340,17 @@ def test_redgreen_vertex():
     assert w == 0  # scan returns the first qualifying vertex
 
 
+def test_triple_coloring_depends_on_the_cycle_type_of_pi_only():
+    g = complete_oddly_bipartite(3, 3)
+    via_cyc, via_cyc3 = (col.triple_coloring_from_accordant(col.build_accordant_coloring(g, pi))
+                         for pi in (cyc(4), perm_power(cyc(4), 3)))
+    assert via_cyc == via_cyc3
+    with pytest.raises(ValueError, match="need arity 4"):
+        col.triple_coloring_from_accordant(
+            col.build_accordant_coloring(Hypergraph(3, 3, [(0, 1, 2)]), cyc(3))
+        )
+
+
 def test_triple_coloring_rejects_bad_inputs():
     with pytest.raises(ValueError):
         col.triple_coloring_from_accordant(
@@ -347,6 +358,6 @@ def test_triple_coloring_rejects_bad_inputs():
         )
     chi = col.build_accordant_coloring(complete_oddly_bipartite(3, 3), cyc(4))
     with pytest.raises(ValueError):
-        col.verify_boundary_patterns(chi.graph, col.TripleColoring4(n=6, k=1), 0)
+        col.verify_boundary_patterns(chi.graph, col.TripleColoring4(n=6), 0)
     with pytest.raises(ValueError):
-        col.link_coloring(col.TripleColoring4(n=6, k=1), 6)
+        col.link_coloring(col.TripleColoring4(n=6), 6)

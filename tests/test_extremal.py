@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from collections import defaultdict
 from fractions import Fraction
 
@@ -150,6 +151,31 @@ def test_search_canonical_six_agrees_with_plain():
 def test_search_canonical_cap():
     with pytest.raises(BudgetExceededError):
         brute_force_ex_hom(9, 4, {1}, canonical=True)
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_search_builds_its_pool_once(monkeypatch, canonical):
+    calls, colex = [], extremal._colex_edges
+
+    def counted(n, r):
+        calls.append((n, r))
+        return colex(n, r)
+
+    monkeypatch.setattr(extremal, "_colex_edges", counted)
+    brute_force_ex_hom(6, 4, {1}, canonical=canonical)
+    assert calls == [(6, 4)]
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_search_refuses_oversized_pool_before_building_it(monkeypatch, canonical):
+    def unbuilt(n, r):
+        raise AssertionError("the pool was built")
+
+    monkeypatch.setattr(extremal, "_colex_edges", unbuilt)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="pool of 3,921,225 edges, over SEARCH_MAX_POOL=500"):
+        brute_force_ex_hom(100, 4, {1}, canonical=canonical)
+    assert time.perf_counter() - start < 1
 
 
 def test_search_residue_zero_forces_empty():

@@ -21,6 +21,8 @@ from oracles import (
     o_conjugators,
     o_greedy_generators,
     o_inverse,
+    o_order,
+    o_parity,
 )
 
 # The eleven subgroup classes at arity 4 in deterministic order:
@@ -278,6 +280,22 @@ def test_identity_compose_inverse():
         assert pg.compose(pg.identity(4), p) == p
         assert pg.compose(p, pg.inverse(p)) == pg.identity(4)
         assert pg.compose(pg.inverse(p), p) == pg.identity(4)
+
+
+def test_tuple_primitives_match_oracles_at_arities_0_to_8():
+    rng = random.Random(15)
+    for r in range(9):
+        perms = [tuple(rng.sample(range(r), r)) for _ in range(12)]
+        for p in perms:
+            order = o_order(p)
+            assert pg.order_of(p) == order
+            assert pg.is_even(p) == (o_parity(p) == 0)
+            power = o_compose(o_inverse(p), o_inverse(p))  # p^-2, then each power up to 2 order
+            for e in range(-2, 2 * order + 1):
+                assert pg.perm_power(p, e) == power
+                power = o_compose(p, power)
+            for q in perms:
+                assert pg.compose(p, q) == o_compose(p, q)
 
 
 @given(perms4, perms4, st.permutations(list("abcd")))
