@@ -44,6 +44,14 @@ Edge = tuple[int, ...]
 # (n = 11) 3.5 s with every residue, and each vertex more at r = 4 about doubles it.
 SEARCH_MAX_POOL = 500
 
+# The largest pool a plain search walks, whatever its ``budget``: above it the
+# search refuses with the greedy bound.  The include/exclude tree grows about
+# exponentially in the pool (single runs on a 2-core machine): pool 20 (n = 6,
+# r = 3) 1.3 s; pool 21 1.5 s at r = 2 and 3.8 s at r = 5; pool 28 11.1 s at
+# r = 2 and 43.9 s at r = 6; pool 35 ran past 60 s at r = 3 and past 120 s at
+# r = 4.  The tests, demos and bench search pools of at most 15 edges.
+SEARCH_MAX_PLAIN_POOL = 28
+
 
 class BudgetExceededError(Exception):
     """Search space too large for the given budget.
@@ -195,14 +203,15 @@ def brute_force_ex_hom(
     The plain search walks an include/exclude tree over the colex edge order,
     pruning a branch as soon as one added edge breaks hom-freeness for some
     residue (supergraphs cannot recover) or the branch cannot tie the best
-    found. ``budget`` caps the pool size for the plain search; ``canonical``
+    found. ``budget`` caps the pool size for the plain search, and
+    SEARCH_MAX_PLAIN_POOL caps ``budget``; ``canonical``
     switches to a level-by-level scan of isomorphism classes instead, capped
     at n <= 8 and always single-process. With ``jobs`` > 1 the plain tree is
     split on the first two edges and searched in parallel by at most one
     worker per subtree and per CPU; the merged result is independent of the
     split. Witnesses come sorted by their sorted edge tuples.
 
-    Raises BudgetExceededError (carrying a greedy lower bound) when the cap
+    Raises BudgetExceededError (carrying a greedy lower bound) when a cap
     is exceeded. Raises ValueError before any work for bad arguments, an
     arity above MAX_ARITY (every candidate closes a connection group inside
     S_r), or C(n, r) above SEARCH_MAX_POOL.
@@ -219,11 +228,13 @@ def brute_force_ex_hom(
     if (size := math.comb(n, r)) > SEARCH_MAX_POOL:
         raise ValueError(f"search pool of {size:,} edges, over {SEARCH_MAX_POOL=:,}")
     pool = _colex_edges(n, r)
-    if (n > 8) if canonical else (size > budget):
+    cap = min(budget, SEARCH_MAX_PLAIN_POOL)
+    if (n > 8) if canonical else (size > cap):
         kept, seen = _greedy_pack(n, r, ks, pool)
         raise BudgetExceededError(
             f"canonical search is capped at 8 vertices, got {n}" if canonical
-            else f"pool of {size} edges exceeds budget {budget}",
+            else f"pool of {size} edges exceeds budget {budget}" if size > budget
+            else f"pool of {size} edges exceeds {SEARCH_MAX_PLAIN_POOL=}",
             len(kept), Hypergraph(r, n, kept), seen,
         )
     if canonical:

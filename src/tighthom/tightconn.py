@@ -26,12 +26,16 @@ A tight walk of stretch s appends s vertices to a start window, every
 intermediate width-r window being an edge with distinct vertices.  Closed
 walks (first window = last window) of stretch s = k (mod r) are exactly what
 homomorphic images of long cycles with residue k unroll to, so hom-freeness
-for a residue family reduces to connection groups.  Walk searches run over
-integer states ``i * r + m`` (window i = the i-th oriented edge in
-lexicographic order, m = stretch mod r) along a successor table kept on the
+for a residue family reduces to connection groups.  Walks run over states
+(window i, stretch mod r), window i being the i-th oriented edge in
+lexicographic order, along one successor table of window indices kept on the
 graph.  Every rotation of a closed walk is one, so the search from each start
 window enters no earlier window (Johnson, SIAM J. Comput. 4, 1975), and the
 witness is the first walk found from the least start attaining the minimum.
+The starts are searched in ascending blocks of ``_BLOCK``, each block as one
+breadth-first search over bitsets of starts (multi-source BFS: Then et al.,
+"The More the Merrier", PVLDB 8(4), 2014); the winning start's own search,
+``_walk_bfs``, is then replayed for its walk.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .permgroup import (
 )
 
 Oriented = tuple[int, ...]
+_BLOCK = 256  # start windows per bit-parallel closed-walk search
 
 
 def oriented_edges(g: Hypergraph) -> list[Oriented]:
@@ -162,21 +167,27 @@ def is_hom_free(g: Hypergraph, k: int) -> bool:
     return all(avoids(c.tc, pi) for c in tight_components(g))
 
 
-def _walk_table(g: Hypergraph) -> tuple[list[Oriented], list[tuple[int, ...]]]:
-    """The windows and, per window, its successors' residue-0 states; kept on ``g``."""
+def _walk_table(g: Hypergraph) -> tuple[list[Oriented], list[list[int]]]:
+    """The windows and, per window, its successor windows' indices; kept on ``g``.
+
+    The successors of ``x`` are the windows that begin with ``x[1:]``: in the
+    sorted window list they sit together, by ascending last vertex.
+    """
     if g._walks is None:
         windows = oriented_edges(g)
-        state = {x: i * g.r for i, x in enumerate(windows)}
-        succ = [tuple(state[x[1:] + (v,)] for v in g.completions(tuple(sorted(x[1:])))) for x in windows]
-        object.__setattr__(g, "_walks", (windows, succ))
+        extensions = {}
+        for i, x in enumerate(windows):
+            extensions.setdefault(x[:-1], []).append(i)
+        object.__setattr__(g, "_walks", (windows, [extensions[x[1:]] for x in windows]))
     return g._walks
 
 
 def _walk_bfs(succ, r: int, start: int, floor: int = 0, goal: int = -1, cut=None) -> dict[int, int]:
-    """Parents of the states reached from residue-0 state ``start``, in discovery order.
+    """Parents of the states ``window * r + residue`` reached from residue-0 state ``start``.
 
-    Enters no state below ``floor``, ends on discovering ``goal``, and expands
-    no state at depth (that is, stretch) ``cut - 1`` or more.
+    Parents are kept in discovery order.  Enters no state below ``floor``, ends
+    on discovering ``goal``, and expands no state at depth (that is, stretch)
+    ``cut - 1`` or more.
     """
     parent = {start: -1}
     level, depth = [start], 0
@@ -185,8 +196,8 @@ def _walk_bfs(succ, r: int, start: int, floor: int = 0, goal: int = -1, cut=None
         residue = depth % r
         nxt = []
         for s in level:
-            for jr in succ[s // r]:
-                t = jr + residue
+            for j in succ[s // r]:
+                t = j * r + residue
                 if t >= floor and t not in parent:
                     parent[t] = s
                     if t == goal:
@@ -194,6 +205,50 @@ def _walk_bfs(succ, r: int, start: int, floor: int = 0, goal: int = -1, cut=None
                     nxt.append(t)
         level = nxt
     return parent
+
+
+def _block_search(succ, r: int, k: int, block: list[int], cut):
+    """``(depth, start)`` of the least closed walk of residue ``k`` from a window of ``block``.
+
+    One breadth-first search for all of ``block`` (ascending start windows):
+    bit b of a bitset stands for ``block[b]``.  ``level[w]`` has bit b when
+    start b first reaches window ``w`` at the current depth, with residue
+    ``depth % r``, without entering a window below its own.  ``free[m][w]``
+    holds the bits that may still enter ``w`` at a depth = m (mod r): the
+    starts at or below ``w``, less those that already reached it.  Returns the
+    least depth below ``cut`` and, at it, the least start that comes back to
+    itself, or None.  The floor only prunes: a walk through a window below its
+    start rotates to a walk from a lesser start, which wins the tie anyway.
+    """
+    lo, hi = block[0], block[-1]
+    floor = []  # floor[w - lo]: the bits of the starts at or below w, for lo <= w <= hi
+    for b, (s, nxt) in enumerate(zip(block, block[1:] + [hi + 1])):
+        floor += [(2 << b) - 1] * (nxt - s)
+    full = floor[-1]
+    goal = {s: 1 << b for b, s in enumerate(block)}
+    free = [{s: floor[s - lo] ^ bit for s, bit in goal.items()}] + [{} for _ in range(r - 1)]
+    level = goal
+    depth = 0
+    while level and (cut is None or depth + 1 < cut):
+        depth += 1
+        free_m = free[depth % r]
+        nxt = {}
+        for w, bits in level.items():
+            for t in succ[w]:
+                if t >= lo:
+                    allowed = free_m.get(t)
+                    if allowed is None:
+                        allowed = floor[t - lo] if t <= hi else full
+                    new = bits & allowed
+                    if new:
+                        free_m[t] = allowed ^ new
+                        nxt[t] = nxt.get(t, 0) | new
+        level = nxt
+        if depth % r == k:  # the starts whose own window came back
+            hits = [s for s in level.keys() & goal.keys() if level[s] & goal[s]]
+            if hits:
+                return depth, min(hits)
+    return None
 
 
 def _closed_walk_search(g: Hypergraph, k: int):
@@ -207,26 +262,34 @@ def _closed_walk_search(g: Hypergraph, k: int):
         return WalkWitness(vertices=g.edges[0] * 2, stretch=r)
 
     pi = perm_power(cyc(r), k)
-    bad = [c for c in tight_components(g) if not avoids(c.tc, pi)]
+    comps = tight_components(g)
+    bad = [c for c in comps if not avoids(c.tc, pi)]
     if not bad:
         return None
 
     windows, succ = _walk_table(g)
-    starts = sorted(
-        bisect_left(windows, x) for c in bad for e, _ in c.potentials for x in itertools.permutations(e)
-    )
+    if len(bad) == len(comps):
+        starts = list(range(len(windows)))
+    else:
+        starts = sorted(
+            bisect_left(windows, x) for c in bad for e, _ in c.potentials for x in itertools.permutations(e)
+        )
     best = None
-    for i in starts:
-        start = i * r
-        parent = _walk_bfs(succ, r, start, floor=start, goal=start + k, cut=best and best.stretch)
-        s = start + k
-        if s in parent:
-            appended = []
-            while s != start:
-                appended.append(windows[s // r][-1])
-                s = parent[s]
-            best = WalkWitness(vertices=windows[i] + tuple(reversed(appended)), stretch=len(appended))
-    return best
+    for o in range(0, len(starts), _BLOCK):
+        best = _block_search(succ, r, k, starts[o : o + _BLOCK], best and best[0]) or best
+    if best is None:
+        return None
+    depth, i = best
+    # replay the winner alone; the cut does not change the discovery order, so this
+    # is the first walk that start's own search finds
+    start = i * r
+    parent = _walk_bfs(succ, r, start, floor=start, goal=start + k, cut=depth + 1)
+    s = start + k
+    appended = []
+    while s != start:
+        appended.append(windows[s // r][-1])
+        s = parent[s]
+    return WalkWitness(vertices=windows[i] + tuple(reversed(appended)), stretch=depth)
 
 
 def min_closed_stretch(g: Hypergraph, k: int):
@@ -287,11 +350,18 @@ def is_valid_closed_walk(g: Hypergraph, vertices, k=None) -> bool:
 def find_hom_cycle_witness(g: Hypergraph, k: int) -> WalkWitness | None:
     """A shortest closed tight walk of residue ``k`` as an explicit vertex sequence.
 
-    One search per window of a blocking class, in order, over states
-    ``window * r + residue``, each entering only windows at or after its start:
-    a shortest closed walk rotated to its least window is found there.  The
-    witness is the first walk discovered (successors by ascending appended
-    vertex) from the least start that attains the minimum.
+    The windows of the blocking classes are the starts.  A block of up to
+    ``_BLOCK`` of them, in ascending order, advances as one breadth-first
+    search over (window, stretch mod r) whose entries are bitsets of starts;
+    a start enters only windows at or after its own, and a shortest closed
+    walk rotated to its least window is found from there.  The first depth at
+    which some start's own window comes back with residue ``k`` is the block's
+    minimum, and the least such start its winner; a later block must beat it
+    strictly.  So the winner is the least start attaining the minimum, as with
+    one search per start.  Its walk comes from replaying that start's own
+    search, cut after the minimum: the cut does not change the order in which
+    states are discovered, so the witness is the first walk that search finds
+    (successors by ascending appended vertex).
     """
     witness = _closed_walk_search(g, k)
     if witness is not None and not is_valid_closed_walk(g, witness.vertices, k):

@@ -178,6 +178,17 @@ def test_search_refuses_oversized_pool_before_building_it(monkeypatch, canonical
     assert time.perf_counter() - start < 1
 
 
+def test_search_budget_cannot_raise_the_plain_ceiling():
+    # a 126-edge include/exclude tree would run for hours; --budget 200 still refuses
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="pool of 126 edges exceeds SEARCH_MAX_PLAIN_POOL=28") as info:
+        brute_force_ex_hom(9, 4, {1}, budget=200)
+    assert time.perf_counter() - start < 1
+    assert is_hom_free(info.value.witness, 1)
+    with pytest.raises(BudgetExceededError, match="exceeds budget 10"):
+        brute_force_ex_hom(6, 4, {1}, budget=10)
+
+
 def test_search_residue_zero_forces_empty():
     res = brute_force_ex_hom(5, 4, {0})
     assert res.max_edges == 0

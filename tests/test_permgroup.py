@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import random
 import subprocess
@@ -217,16 +216,12 @@ def _slot_gens(rng, r, count):
     return gens
 
 
-def _is_even(p):
-    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2 == 0
-
-
 @pytest.mark.parametrize("r, trials", [(3, 30), (5, 30), (6, 8)])
 def test_join_passes_index_r_only_at_the_alternating_or_full_group(r, trials):
     rng = random.Random(14)
     limit = math.factorial(r - 1)
     index, mul, _, _ = pg._index_tables(r)
-    alternating = {p for p in pg.all_perms(r) if _is_even(p)}
+    alternating = {p for p in pg.all_perms(r) if o_parity(p) == 0}
     seen = set()
     for _ in range(trials):
         start_gens = _slot_gens(rng, r, rng.randint(1, 2))
@@ -241,7 +236,7 @@ def test_join_passes_index_r_only_at_the_alternating_or_full_group(r, trials):
         assert kept == start_gens + [g]
         assert (members is None) == (len(want) > limit)
         if members is None:
-            assert (want == alternating) == all(map(_is_even, start_gens + [g]))
+            assert (want == alternating) == all(o_parity(p) == 0 for p in start_gens + [g])
             assert want in (alternating, set(pg.all_perms(r)))
         else:
             assert members == want
@@ -266,7 +261,7 @@ def test_join_stop_at_index_r_misreads_arity_4():
     # nor S4, so the enumeration stops joins at arity 4 only past half of S4
     rotation, flip = (1, 2, 3, 0), (2, 1, 0, 3)
     d4 = o_closure([rotation, flip])
-    assert len(d4) == 8 > math.factorial(3) and not all(map(_is_even, d4))
+    assert len(d4) == 8 > math.factorial(3) and not all(o_parity(p) == 0 for p in d4)
     start = o_closure([rotation])
     assert pg._close(pg.identity(4), [flip], pg.right_mul, 6, start, [rotation])[0] is None
     assert pg._close(pg.identity(4), [flip], pg.right_mul, 12, start, [rotation])[0] == d4

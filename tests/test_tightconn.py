@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -270,6 +271,58 @@ def test_witnesses_match_oracle(g):
 @pytest.mark.parametrize("r,ell", [(4, 5), (4, 9), (4, 13), (5, 12), (6, 14), (7, 9)])
 def test_tight_cycle_witnesses_match_oracle(r, ell):
     assert_witnesses_match_oracle(tight_cycle(r, ell))
+
+
+def _block_cases():
+    rng = random.Random(16)
+    for i in range(24):
+        r = 2 + i % 4
+        n = rng.randint(r + 2, 8 if r < 5 else 7)
+        edges = set(rng.sample(list(itertools.combinations(range(n), r)), rng.randint(1, 3)))
+        if r < 4 or i % 8 == 2:
+            # a tight cycle on some of the vertices blocks a residue, often beside
+            # free components, so the start windows have gaps
+            order = rng.sample(range(n), rng.randint(r + 1, r + 2))
+            edges |= {tuple(sorted(order[(j + t) % len(order)] for t in range(r))) for j in range(len(order))}
+        g = Hypergraph(r, n, edges)
+        yield g, [o_min_closed_stretch(g.edges, g.n, g.r, k) for k in range(r)]
+    # 312 and 1,440 windows, so the default block splits them too; minima frozen
+    # from the level-set oracle, which takes 13 s and 122 s on them
+    yield tight_cycle(4, 13), [4, 13, 26, 39]
+    yield tight_cycle(5, 12), [5, 36, 12, 48, 24]
+
+
+@functools.lru_cache(maxsize=None)
+def _block_referees():
+    return [
+        (g, minima, [o_closed_walk_witness(g.edges, g.n, g.r, k) for k in range(g.r)])
+        for g, minima in _block_cases()
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, tcn._BLOCK])
+def test_block_boundaries_keep_the_witness_rule(monkeypatch, block):
+    # a later block must beat the incumbent strictly, so ties across a block
+    # boundary go to the least start, as in one search per start
+    monkeypatch.setattr(tcn, "_BLOCK", block)
+    blocked = set()
+    for g, minima, witnesses in _block_referees():
+        for k in range(g.r):
+            w = tcn.find_hom_cycle_witness(g, k)
+            assert (None if w is None else (w.stretch, w.vertices)) == witnesses[k], (g, k)
+            assert tcn.min_closed_stretch(g, k) == minima[k], (g, k)
+            blocked.add(w is not None)
+    assert blocked == {True, False}
+
+
+@pytest.mark.parametrize("r, stretches", [(5, (6, 12, 18, 24)), (6, (7, 14, 21, 28, 35))])
+def test_complete_graph_stretches_frozen(r, stretches):
+    # the complete r-graph on r + 1 vertices: residue k closes after k(r + 1)
+    g = complete_graph(r + 1, r)
+    for k, want in enumerate(stretches, start=1):
+        w = tcn.find_hom_cycle_witness(g, k)
+        assert w.stretch == want, k
+        assert tcn.is_valid_closed_walk(g, w.vertices, k)
 
 
 @settings(max_examples=60)
