@@ -298,7 +298,7 @@ def _cmd_eopt(args):
 def _cmd_search(args):
     residues = set(_parse_residues(args.k, args.r))
     result = ext.brute_force_ex_hom(
-        args.n, args.r, residues, budget=args.budget, canonical=args.canonical, jobs=args.jobs
+        args.n, args.r, residues, budget=args.budget, canonical=args.canonical
     )
     lines = [
         f"max_edges={result.max_edges} witnesses={len(result.witnesses)} "
@@ -467,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="all")
     p.add_argument("--budget", type=int, default=20)
     p.add_argument("--canonical", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, plain search only")
 
     p = add("prune", _cmd_prune, graph_in, help="codegree pruning to a fixpoint")
     p.add_argument("--eps", required=True)

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,28 +96,28 @@ def _greedy_pack(n: int, r: int, residues, pool) -> tuple[list[Edge], int]:
     return kept, explored
 
 
-def _search_subtree(args):
-    """One include/exclude prefix of the edge pool, searched to the leaves.
+def _search_plain(n: int, r: int, residues, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
+    """Include/exclude DFS over the edge pool, searched to the leaves.
 
-    The prefix forces the first decisions of the DFS. Subtrees never share
-    bounds, so each returns every tying leaf it saw; the merge keeps the
-    global maximum. Module-level for pickling.
+    The first min(2, |pool|) decisions are fixed in turn, and each of those
+    subtrees is searched under its own bound, so each collects every tying
+    leaf it sees; the merge keeps the overall maximum.  One shared bound
+    would explore fewer candidates, but ``explored`` is pinned as it is.
     """
-    n, r, residues, pool, prefix = args
     explored = 0
-    best = -1
-    witnesses: list[tuple[Edge, ...]] = []
+    outcomes: list[tuple[int, list[tuple[Edge, ...]]]] = []
 
+    # prefix, best and leaves belong to the subtree the loop below is searching
     def dfs(i: int, acc: list[Edge]) -> None:
-        nonlocal best, explored, witnesses
+        nonlocal best, explored, leaves
         if len(acc) + (len(pool) - i) < best:
             return
         if i == len(pool):
             if len(acc) > best:
                 best = len(acc)
-                witnesses = [tuple(acc)]
+                leaves = [tuple(acc)]
             elif len(acc) == best:
-                witnesses.append(tuple(acc))
+                leaves.append(tuple(acc))
             return
         e = pool[i]
         bit = prefix[i] if i < len(prefix) else None
@@ -132,8 +130,14 @@ def _search_subtree(args):
         if bit != 1:
             dfs(i + 1, acc)
 
-    dfs(0, [])
-    return best, witnesses, explored
+    for prefix in itertools.product((0, 1), repeat=min(2, len(pool))):
+        best = -1
+        leaves: list[tuple[Edge, ...]] = []
+        dfs(0, [])
+        outcomes.append((best, leaves))
+    best = max(b for b, _ in outcomes)
+    tying = sorted(tuple(sorted(w)) for b, ws in outcomes if b == best for w in ws)
+    return best, tying, explored
 
 
 def _vertex_invariants(n: int, edges) -> tuple:
@@ -196,7 +200,6 @@ def brute_force_ex_hom(
     residues,
     budget: int = 20,
     canonical: bool = False,
-    jobs: int = 1,
 ) -> SearchResult:
     """Largest hom-free edge count on ``n`` vertices, with all extremal witnesses.
 
@@ -204,24 +207,23 @@ def brute_force_ex_hom(
     pruning a branch as soon as one added edge breaks hom-freeness for some
     residue (supergraphs cannot recover) or the branch cannot tie the best
     found. ``budget`` caps the pool size for the plain search, and
-    SEARCH_MAX_PLAIN_POOL caps ``budget``; ``canonical``
-    switches to a level-by-level scan of isomorphism classes instead, capped
-    at n <= 8 and always single-process. With ``jobs`` > 1 the plain tree is
-    split on the first two edges and searched in parallel by at most one
-    worker per subtree and per CPU; the merged result is independent of the
-    split. Witnesses come sorted by their sorted edge tuples.
+    SEARCH_MAX_PLAIN_POOL caps ``budget``; ``canonical`` switches to a
+    level-by-level scan of isomorphism classes instead, capped at n <= 8.
+    Either runs in this process. Witnesses come sorted by their sorted edge
+    tuples.
 
     Raises BudgetExceededError (carrying a greedy lower bound) when a cap
-    is exceeded. Raises ValueError before any work for bad arguments, an
-    arity above MAX_ARITY (every candidate closes a connection group inside
-    S_r), or C(n, r) above SEARCH_MAX_POOL.
+    is exceeded. Raises ValueError before any work for bad arguments (a
+    negative ``budget`` among them), an arity above MAX_ARITY (every
+    candidate closes a connection group inside S_r), or C(n, r) above
+    SEARCH_MAX_POOL.
     """
     if n < 0 or r < 1:
         raise ValueError(f"bad search domain n={n}, r={r}")
     if r > MAX_ARITY:
         raise ValueError(f"search arity {r} exceeds {MAX_ARITY}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     ks = frozenset(k % r for k in residues)
     if not ks:
         raise ValueError("need at least one residue")
@@ -237,23 +239,10 @@ def brute_force_ex_hom(
             else f"pool of {size} edges exceeds {SEARCH_MAX_PLAIN_POOL=}",
             len(kept), Hypergraph(r, n, kept), seen,
         )
-    if canonical:
-        max_edges, forms, explored = _search_canonical(n, r, ks, pool)
-        witnesses = tuple(Hypergraph(r, n, form) for form in forms)
-        return SearchResult(n, r, ks, max_edges, witnesses, explored, True, True)
-    width = min(2, size)
-    tasks = [(n, r, ks, pool, bits) for bits in itertools.product((0, 1), repeat=width)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with multiprocessing.Pool(processes=workers) as procs:
-            outcomes = procs.map(_search_subtree, tasks)
-    else:
-        outcomes = [_search_subtree(t) for t in tasks]
-    best = max(b for b, _, _ in outcomes)
-    explored = sum(seen for _, _, seen in outcomes)
-    tying = sorted(tuple(sorted(w)) for _, ws, _ in outcomes for w in ws if len(w) == best)
-    witnesses = tuple(Hypergraph(r, n, w) for w in tying)
-    return SearchResult(n, r, ks, best, witnesses, explored, False, True)
+    search = _search_canonical if canonical else _search_plain
+    max_edges, found, explored = search(n, r, ks, pool)
+    witnesses = tuple(Hypergraph(r, n, edges) for edges in found)
+    return SearchResult(n, r, ks, max_edges, witnesses, explored, canonical, True)
 
 
 # ---------------------------------------------------------------------------
@@ -468,10 +457,11 @@ def check_eps_close(g: Hypergraph, a_side, b_side, t: Hypergraph, eps) -> EpsClo
         if len(pool.intersection(g.completions(tri))) < (1 - eps) * len(pool):
             bad_triples.append(tri)
 
-    pairs = shadow(t.edges)
+    # the shadow as a 2-graph: its pairs in order, and each vertex's links
+    links = Hypergraph(2, g.n, shadow(t.edges))
     bad_pairs = []
     bad_pairs_remark = []
-    for pair in sorted(pairs):
+    for pair in links.edges:
         thirds = t.completions(pair)
         for side, tag in ((part_a, "A"), (part_b, "B")):
             if len(side.intersection(thirds)) < (1 - eps) * len(side.difference(pair)):
@@ -479,17 +469,14 @@ def check_eps_close(g: Hypergraph, a_side, b_side, t: Hypergraph, eps) -> EpsClo
         if len(thirds) < (1 - eps / 3) * (g.n - 2):
             bad_pairs_remark.append(pair)
 
-    adj: dict[int, set[int]] = {v: set() for v in range(g.n)}
-    for x, y in pairs:
-        adj[x].add(y)
-        adj[y].add(x)
     bad_vertices = []
     bad_vertices_remark = []
     for v in range(g.n):
+        nbrs = links.completions((v,))
         for side, tag in ((part_a, "A"), (part_b, "B")):
-            if len(adj[v] & side) < (1 - eps) * len(side - {v}):
+            if len(side.intersection(nbrs)) < (1 - eps) * len(side - {v}):
                 bad_vertices.append((v, tag))
-        if len(adj[v]) < (1 - eps / 3) * (g.n - 1):
+        if len(nbrs) < (1 - eps / 3) * (g.n - 1):
             bad_vertices_remark.append(v)
 
     return EpsCloseReport(
@@ -545,14 +532,10 @@ def refine_triple_set(t: Hypergraph, alpha, eps, delta) -> tuple[frozenset[int],
 
     if len(keep) < (1 - delta**2) * n:
         raise RuntimeError(f"kept {len(keep)} vertices, below (1 - delta^2) n")
-    final_pairs = shadow(refined.edges)
-    final_adj: dict[int, set[int]] = {v: set() for v in keep}
-    for u, v in final_pairs:
-        final_adj[u].add(v)
-        final_adj[v].add(u)
-    if any(len(refined.completions(pair)) < (alpha - 7 * delta) * n for pair in final_pairs):
+    final_links = Hypergraph(2, n, shadow(refined.edges))
+    if any(len(refined.completions(pair)) < (alpha - 7 * delta) * n for pair in final_links.edges):
         raise RuntimeError("a surviving shadow pair has degree below (alpha - 7 delta) n")
-    if any(len(final_adj[v]) < (1 - 4 * delta) * n for v in keep):
+    if any(len(final_links.completions((v,))) < (1 - 4 * delta) * n for v in keep):
         raise RuntimeError("a surviving vertex has shadow degree below (1 - 4 delta) n")
     return keep, refined
 

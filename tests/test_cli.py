@@ -291,6 +291,18 @@ def test_search_refuses_oversized_pool_at_once(mode):
     assert proc.stderr == "error: search pool of 3,921,225 edges, over SEARCH_MAX_POOL=500\n"
 
 
+def test_search_runs_in_process():
+    # no verb starts worker processes, so none pays for importing multiprocessing
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tighthom.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    run_cli("search", "--n", "5", "--r", "4", "--k", "1", "--jobs", "2", expect=2)
+
+
 def test_search_records_roundtrip():
     out = run_cli("search", "--n", "5", "--r", "4", "--k", "1", "--format", "records")
     lines = out.splitlines()

@@ -87,35 +87,18 @@ def test_search_bipartite_turan_on_five():
     assert all(len(w.edges) == 6 and is_hom_free(w, 1) for w in res.witnesses)
 
 
-def test_search_parallel_split_matches_sequential():
-    seq = brute_force_ex_hom(5, 2, {1}, jobs=1)
-    par = brute_force_ex_hom(5, 2, {1}, jobs=2)
-    assert (seq.max_edges, seq.witnesses, seq.explored) == (par.max_edges, par.witnesses, par.explored)
-
-
-def test_search_caps_workers_at_tasks_and_cpus(monkeypatch):
-    asked = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            asked.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return [fn(t) for t in tasks]
-
-    monkeypatch.setattr(extremal.multiprocessing, "Pool", SerialPool)
-    seq = brute_force_ex_hom(5, 2, {1})
-    for cpus, jobs, want in ((64, 100, [4]), (2, 100, [2]), (None, 100, []), (64, 3, [3])):
-        asked.clear()
-        monkeypatch.setattr(extremal.os, "cpu_count", lambda cpus=cpus: cpus)
-        assert brute_force_ex_hom(5, 2, {1}, jobs=jobs) == seq
-        assert asked == want
+def test_plain_search_work_is_pinned():
+    # the include/exclude tree is cut on its first two edges, each subtree with its
+    # own bound; a search that shares one bound explores fewer candidates and must
+    # edit this pin
+    res = brute_force_ex_hom(6, 4, {1})
+    assert res.max_edges == 10
+    assert res.explored == 2791
+    # the six stars: every 4-set through one vertex, the odd bipartite graph whose
+    # singleton side is that vertex
+    assert [w.edges for w in res.witnesses] == [
+        tuple(e for e in itertools.combinations(range(6), 4) if v in e) for v in range(6)
+    ]
 
 
 def test_search_budget_error_carries_greedy_bound():
@@ -196,8 +179,11 @@ def test_search_residue_zero_forces_empty():
 
 
 def test_search_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        brute_force_ex_hom(5, 2, {1}, jobs=0)
+    # refused before the greedy packing, which takes seconds on this 495-edge pool
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        brute_force_ex_hom(12, 4, {1}, budget=-1)
+    assert time.perf_counter() - start < 1
     with pytest.raises(ValueError):
         brute_force_ex_hom(5, 2, set())
     with pytest.raises(ValueError):
