@@ -1,7 +1,7 @@
 """Exhaustive extremal search plus the degree cleanups that tame larger hosts.
 
 Small cases are settled by complete search (optionally up to isomorphism);
-beyond the budget the searcher still hands back a greedy packing. The second
+beyond the work cap the searcher still hands back a greedy packing. The second
 half shows the two pruning passes: minimum-degree refinement can cascade to
 nothing when a graph is too thin, while the codegree fixpoint deletes only
 what the loss bound allows.

@@ -8,8 +8,9 @@ tag frequencies to exact rational densities, and checks the six bounds
 those counts satisfy. It counts on per-vertex int bitset rows that a
 coloring builds in the one pass that validates its pairs. The same
 densities drive the scalar objectives ``eval_g`` / ``eval_f`` and a
-certified grid maximizer, one exact-grid scan per pass, alongside the
-closed-form extremal count ``e_opt`` and a few small exact checks.
+float grid maximizer with a Lipschitz bound, one grid scan per pass,
+alongside the closed-form extremal count ``e_opt`` and a few small exact
+checks.
 """
 
 from __future__ import annotations

@@ -297,9 +297,7 @@ def _cmd_eopt(args):
 
 def _cmd_search(args):
     residues = set(_parse_residues(args.k, args.r))
-    result = ext.brute_force_ex_hom(
-        args.n, args.r, residues, budget=args.budget, canonical=args.canonical
-    )
+    result = ext.brute_force_ex_hom(args.n, args.r, residues, canonical=args.canonical)
     lines = [
         f"max_edges={result.max_edges} witnesses={len(result.witnesses)} "
         f"explored={result.explored} canonical={str(result.canonical).lower()}"
@@ -465,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", default="all")
-    p.add_argument("--budget", type=int, default=20)
     p.add_argument("--canonical", action="store_true")
 
     p = add("prune", _cmd_prune, graph_in, help="codegree pruning to a fixpoint")

@@ -42,17 +42,22 @@ Edge = tuple[int, ...]
 # (n = 11) 3.5 s with every residue, and each vertex more at r = 4 about doubles it.
 SEARCH_MAX_POOL = 500
 
-# The largest pool a plain search walks, whatever its ``budget``: above it the
-# search refuses with the greedy bound.  The include/exclude tree grows about
-# exponentially in the pool (single runs on a 2-core machine): pool 20 (n = 6,
-# r = 3) 1.3 s; pool 21 1.5 s at r = 2 and 3.8 s at r = 5; pool 28 11.1 s at
-# r = 2 and 43.9 s at r = 6; pool 35 ran past 60 s at r = 3 and past 120 s at
-# r = 4.  The tests, demos and bench search pools of at most 15 edges.
+# The largest pool a plain search walks: above it the search refuses with the
+# greedy bound.  The include/exclude tree grows about exponentially in the pool
+# (single runs on a 2-core machine): pool 20 (n = 6, r = 3) 1.3 s; pool 21 1.5 s
+# at r = 2 and 3.8 s at r = 5; pool 28 11.1 s at r = 2 and 43.9 s at r = 6; pool
+# 35 ran past 60 s at r = 3 and past 120 s at r = 4.  The demos and bench search
+# plain pools of at most 15 edges, the tests of at most 21 (n = 7, r = 2).
 SEARCH_MAX_PLAIN_POOL = 28
+
+# The most vertices a canonical search takes: above it the search refuses with
+# the greedy bound.  Its levels hold every isomorphism class of hom-free graphs:
+# n = 7 at r = 4 (a 35-edge pool) took 586 s, and n = 8 at r = 4 is a 70-edge pool.
+SEARCH_MAX_CANONICAL_N = 8
 
 
 class BudgetExceededError(Exception):
-    """Search space too large for the given budget.
+    """Search over its mode's work cap: SEARCH_MAX_PLAIN_POOL or SEARCH_MAX_CANONICAL_N.
 
     Carries a greedy ``lower_bound`` with its ``witness`` so callers still get
     a certified feasible packing, and the count of candidates ``explored``
@@ -194,48 +199,36 @@ def _search_canonical(n: int, r: int, residues, pool) -> tuple[int, list[tuple[E
         depth += 1
 
 
-def brute_force_ex_hom(
-    n: int,
-    r: int,
-    residues,
-    budget: int = 20,
-    canonical: bool = False,
-) -> SearchResult:
+def brute_force_ex_hom(n: int, r: int, residues, canonical: bool = False) -> SearchResult:
     """Largest hom-free edge count on ``n`` vertices, with all extremal witnesses.
 
     The plain search walks an include/exclude tree over the colex edge order,
     pruning a branch as soon as one added edge breaks hom-freeness for some
     residue (supergraphs cannot recover) or the branch cannot tie the best
-    found. ``budget`` caps the pool size for the plain search, and
-    SEARCH_MAX_PLAIN_POOL caps ``budget``; ``canonical`` switches to a
-    level-by-level scan of isomorphism classes instead, capped at n <= 8.
-    Either runs in this process. Witnesses come sorted by their sorted edge
-    tuples.
+    found; it takes pools of at most SEARCH_MAX_PLAIN_POOL edges. ``canonical``
+    switches to a level-by-level scan of isomorphism classes instead, on at
+    most SEARCH_MAX_CANONICAL_N vertices. Either runs in this process.
+    Witnesses come sorted by their sorted edge tuples.
 
-    Raises BudgetExceededError (carrying a greedy lower bound) when a cap
-    is exceeded. Raises ValueError before any work for bad arguments (a
-    negative ``budget`` among them), an arity above MAX_ARITY (every
-    candidate closes a connection group inside S_r), or C(n, r) above
-    SEARCH_MAX_POOL.
+    Raises BudgetExceededError (carrying a greedy lower bound) when the
+    mode's cap is exceeded. Raises ValueError before any work for bad
+    arguments, an arity above MAX_ARITY (every candidate closes a connection
+    group inside S_r), or C(n, r) above SEARCH_MAX_POOL.
     """
     if n < 0 or r < 1:
         raise ValueError(f"bad search domain n={n}, r={r}")
     if r > MAX_ARITY:
         raise ValueError(f"search arity {r} exceeds {MAX_ARITY}")
-    if budget < 0:
-        raise ValueError(f"budget must be nonnegative, got {budget}")
     ks = frozenset(k % r for k in residues)
     if not ks:
         raise ValueError("need at least one residue")
     if (size := math.comb(n, r)) > SEARCH_MAX_POOL:
         raise ValueError(f"search pool of {size:,} edges, over {SEARCH_MAX_POOL=:,}")
     pool = _colex_edges(n, r)
-    cap = min(budget, SEARCH_MAX_PLAIN_POOL)
-    if (n > 8) if canonical else (size > cap):
+    if (n > SEARCH_MAX_CANONICAL_N) if canonical else (size > SEARCH_MAX_PLAIN_POOL):
         kept, seen = _greedy_pack(n, r, ks, pool)
         raise BudgetExceededError(
-            f"canonical search is capped at 8 vertices, got {n}" if canonical
-            else f"pool of {size} edges exceeds budget {budget}" if size > budget
+            f"canonical search is capped at {SEARCH_MAX_CANONICAL_N} vertices, got {n}" if canonical
             else f"pool of {size} edges exceeds {SEARCH_MAX_PLAIN_POOL=}",
             len(kept), Hypergraph(r, n, kept), seen,
         )

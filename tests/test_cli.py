@@ -263,7 +263,7 @@ def test_search_golden_and_budget():
         text=True,
     )
     assert proc.returncode == 2
-    assert "exceeds budget" in proc.stderr
+    assert "pool of 126 edges exceeds SEARCH_MAX_PLAIN_POOL=28" in proc.stderr
 
 
 def test_search_refuses_arity_above_max():
@@ -301,6 +301,7 @@ def test_search_runs_in_process():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
     run_cli("search", "--n", "5", "--r", "4", "--k", "1", "--jobs", "2", expect=2)
+    run_cli("search", "--n", "5", "--r", "4", "--k", "1", "--budget", "5", expect=2)
 
 
 def test_search_records_roundtrip():
