@@ -1,7 +1,8 @@
 """Exhaustive extremal search plus the degree cleanups that tame larger hosts.
 
 Small cases are settled by complete search (optionally up to isomorphism);
-beyond the work cap the searcher still hands back a greedy packing. The second
+beyond the work cap the searcher refuses up front, and the oddly bipartite
+construction gives the lower bound e_opt(n) instead. The second
 half shows the two pruning passes: minimum-degree refinement can cascade to
 nothing when a graph is too thin, while the codegree fixpoint deletes only
 what the loss bound allows.
@@ -11,12 +12,12 @@ import itertools
 from fractions import Fraction
 
 from tighthom.extremal import (
-    BudgetExceededError,
     brute_force_ex_hom,
     min_degree_refine,
     prune_low_codegree,
 )
 from tighthom.hypergraph import Hypergraph, complete_oddly_bipartite, tight_cycle
+from tighthom.tightconn import is_hom_free
 
 
 def main():
@@ -33,9 +34,11 @@ def main():
 
     try:
         brute_force_ex_hom(9, 4, {1})
-    except BudgetExceededError as err:
+    except ValueError as err:
         print(f"On 9 vertices the pool is too large ({err}),")
-        print(f"  but the greedy packing already reaches {err.lower_bound} edges.")
+        godd = complete_oddly_bipartite(7, 2)
+        print(f"  but complete_oddly_bipartite(7, 2) is hom-free: {is_hom_free(godd, 1)}, "
+              f"with {len(godd.edges)} edges.")
 
     print()
     thin = complete_oddly_bipartite(5, 5)

@@ -487,15 +487,26 @@ def maximize_f_on_R(step, refinements: int = 2, region=None):
 
 
 def e_opt(n: int) -> tuple[int, list[tuple[int, int]]]:
-    """max over a+b=n of C(a,3)*b + a*C(b,3), with every maximizing split a >= b."""
+    """max over a+b=n of C(a,3)*b + a*C(b,3), with every maximizing split a >= b.
+
+    At a = n/2 + x the count is an even quartic in x with x^4 coefficient -1/3,
+    strictly concave in x^2, so it rises and then falls as a grows from
+    n - n//2: the walk stops at the first drop, about sqrt(3n)/2 steps on.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    counts = {
-        (a, n - a): math.comb(a, 3) * (n - a) + a * math.comb(n - a, 3)
-        for a in range(n - n // 2, n + 1)
-    }
-    top = max(counts.values(), default=0)
-    return top, sorted(k for k, v in counts.items() if v == top)
+
+    def count(a: int) -> int:
+        return math.comb(a, 3) * (n - a) + a * math.comb(n - a, 3)
+
+    a = n - n // 2
+    top, splits = count(a), [(a, n - a)]
+    while a < n and (nxt := count(a + 1)) >= top:
+        a += 1
+        if nxt > top:
+            top, splits = nxt, []
+        splits.append((a, n - a))
+    return top, splits
 
 
 def degree_spread(g: Hypergraph) -> int:

@@ -484,7 +484,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         lines, records, negative = args.handler(args)
-    except (ValueError, KeyError, OSError, ext.BudgetExceededError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     if args.format == "records":

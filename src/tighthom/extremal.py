@@ -36,39 +36,18 @@ Edge = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # exhaustive search
 
-# The largest edge pool a search, or the greedy packing behind its refusal, is
-# started on.  The packing makes one hom-freeness check per pool edge on a
-# growing graph: 495 edges (n = 12, r = 4) take about 2 s, 462 at r = 6
-# (n = 11) 3.5 s with every residue, and each vertex more at r = 4 about doubles it.
-SEARCH_MAX_POOL = 500
-
-# The largest pool a plain search walks: above it the search refuses with the
-# greedy bound.  The include/exclude tree grows about exponentially in the pool
-# (single runs on a 2-core machine): pool 20 (n = 6, r = 3) 1.3 s; pool 21 1.5 s
-# at r = 2 and 3.8 s at r = 5; pool 28 11.1 s at r = 2 and 43.9 s at r = 6; pool
-# 35 ran past 60 s at r = 3 and past 120 s at r = 4.  The demos and bench search
-# plain pools of at most 15 edges, the tests of at most 21 (n = 7, r = 2).
+# The largest pool a plain search walks.  The include/exclude tree grows about
+# exponentially in the pool (single runs on a 2-core machine): pool 20 (n = 6,
+# r = 3) 1.3 s; pool 21 1.5 s at r = 2 and 3.8 s at r = 5; pool 28 11.1 s at
+# r = 2 and 43.9 s at r = 6; pool 35 ran past 60 s at r = 3 and past 120 s at
+# r = 4.  The demos and bench search plain pools of at most 15 edges, the tests
+# of at most 21 (n = 7, r = 2).
 SEARCH_MAX_PLAIN_POOL = 28
 
-# The most vertices a canonical search takes: above it the search refuses with
-# the greedy bound.  Its levels hold every isomorphism class of hom-free graphs:
-# n = 7 at r = 4 (a 35-edge pool) took 586 s, and n = 8 at r = 4 is a 70-edge pool.
+# The most vertices a canonical search takes, so its pool has at most C(8, 4) =
+# 70 edges at r = 4.  Its levels hold every isomorphism class of hom-free
+# graphs: n = 7 at r = 4 (a 35-edge pool) took 586 s.
 SEARCH_MAX_CANONICAL_N = 8
-
-
-class BudgetExceededError(Exception):
-    """Search over its mode's work cap: SEARCH_MAX_PLAIN_POOL or SEARCH_MAX_CANONICAL_N.
-
-    Carries a greedy ``lower_bound`` with its ``witness`` so callers still get
-    a certified feasible packing, and the count of candidates ``explored``
-    while producing it.
-    """
-
-    def __init__(self, message: str, lower_bound: int, witness: Hypergraph, explored: int):
-        super().__init__(message)
-        self.lower_bound = lower_bound
-        self.witness = witness
-        self.explored = explored
 
 
 @dataclass(frozen=True)
@@ -89,16 +68,6 @@ def _colex_edges(n: int, r: int) -> list[Edge]:
 
 def _free_for_all(g: Hypergraph, residues) -> bool:
     return all(is_hom_free(g, k) for k in residues)
-
-
-def _greedy_pack(n: int, r: int, residues, pool) -> tuple[list[Edge], int]:
-    kept: list[Edge] = []
-    explored = 0
-    for e in pool:
-        explored += 1
-        if _free_for_all(Hypergraph(r, n, kept + [e]), residues):
-            kept.append(e)
-    return kept, explored
 
 
 def _search_plain(n: int, r: int, residues, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
@@ -210,10 +179,9 @@ def brute_force_ex_hom(n: int, r: int, residues, canonical: bool = False) -> Sea
     most SEARCH_MAX_CANONICAL_N vertices. Either runs in this process.
     Witnesses come sorted by their sorted edge tuples.
 
-    Raises BudgetExceededError (carrying a greedy lower bound) when the
-    mode's cap is exceeded. Raises ValueError before any work for bad
-    arguments, an arity above MAX_ARITY (every candidate closes a connection
-    group inside S_r), or C(n, r) above SEARCH_MAX_POOL.
+    Raises ValueError before any work for bad arguments, an arity above
+    MAX_ARITY (every candidate closes a connection group inside S_r), or a
+    size over the mode's cap.
     """
     if n < 0 or r < 1:
         raise ValueError(f"bad search domain n={n}, r={r}")
@@ -222,16 +190,11 @@ def brute_force_ex_hom(n: int, r: int, residues, canonical: bool = False) -> Sea
     ks = frozenset(k % r for k in residues)
     if not ks:
         raise ValueError("need at least one residue")
-    if (size := math.comb(n, r)) > SEARCH_MAX_POOL:
-        raise ValueError(f"search pool of {size:,} edges, over {SEARCH_MAX_POOL=:,}")
+    if canonical and n > SEARCH_MAX_CANONICAL_N:
+        raise ValueError(f"canonical search is capped at {SEARCH_MAX_CANONICAL_N} vertices, got {n}")
+    if not canonical and (size := math.comb(n, r)) > SEARCH_MAX_PLAIN_POOL:
+        raise ValueError(f"pool of {size} edges exceeds {SEARCH_MAX_PLAIN_POOL=}")
     pool = _colex_edges(n, r)
-    if (n > SEARCH_MAX_CANONICAL_N) if canonical else (size > SEARCH_MAX_PLAIN_POOL):
-        kept, seen = _greedy_pack(n, r, ks, pool)
-        raise BudgetExceededError(
-            f"canonical search is capped at {SEARCH_MAX_CANONICAL_N} vertices, got {n}" if canonical
-            else f"pool of {size} edges exceeds {SEARCH_MAX_PLAIN_POOL=}",
-            len(kept), Hypergraph(r, n, kept), seen,
-        )
     search = _search_canonical if canonical else _search_plain
     max_edges, found, explored = search(n, r, ks, pool)
     witnesses = tuple(Hypergraph(r, n, edges) for edges in found)
@@ -602,24 +565,32 @@ def build_walk_through_T(
             return False
         return not (3 <= i <= last_waypoint) or t.has_edge(seq[i - 2 : i + 1])
 
-    def search(i: int):
-        if i == total - 3:
-            if all(admissible(j) for j in range(total - 3, total)):
-                return tuple(seq)
-            return None
+    # depth-first over positions 3 .. total-4 without recursion, so the pattern
+    # length is not bounded by the interpreter's stack; at[i] is the index of the
+    # next candidate to try at position i
+    stop = total - 3
+    at = [0] * stop
+    i = 3
+    while i >= 3:
+        if i == stop:
+            if all(admissible(j) for j in range(stop, total)):
+                break
+            i -= 1
+            continue
         tok = tokens[i - 3]
-        for v in pools[tok] if tok in pools else (tok,):
-            seq[i] = v
+        options = pools[tok] if tok in pools else (tok,)
+        while at[i] < len(options):
+            seq[i] = options[at[i]]
+            at[i] += 1
             if admissible(i):
-                found = search(i + 1)
-                if found is not None:
-                    return found
-        seq[i] = None
+                i += 1
+                break
+        else:
+            at[i] = 0
+            i -= 1
+    if i < 3:
         return None
-
-    vertices = search(3)
-    if vertices is None:
-        return None
+    vertices = tuple(seq)
     witness = WalkWitness(vertices=vertices, stretch=total - g.r)
     if not is_valid_walk(g, witness.vertices):
         raise RuntimeError(f"routed sequence {vertices!r} is not a tight walk")

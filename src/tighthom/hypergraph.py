@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .permgroup import apply_to_tuple
+from .permgroup import apply_to_tuple, cycles_of
 
 Edge = tuple[int, ...]
 
@@ -127,6 +127,7 @@ def twisted_tight_cycle(r: int, ell: int, pi) -> Hypergraph:
     """
     if len(pi) != r:
         raise ValueError(f"permutation arity {len(pi)} != {r}")
+    cycles_of(pi)  # ValueError unless pi permutes 0..r-1
     if ell < 2 * r:
         raise ValueError(f"twisted cycle needs at least 2r = {2 * r} vertices, got {ell}")
     _admit(f"twisted cycle of length {ell}", ell + 1)

@@ -8,6 +8,7 @@ its own oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 
 
@@ -459,3 +460,17 @@ def o_triangle_counts(n, colors):
             ):
                 tc += 1
     return tg, tp, tc
+
+
+# ---------------------------------------------------------------------------
+# oddly bipartite edge counts
+
+
+def o_e_opt(n):
+    """Best C(a,3)*b + a*C(b,3) over every split a + b = n with a >= b, and its splits."""
+    counts = {
+        (a, n - a): math.comb(a, 3) * (n - a) + a * math.comb(n - a, 3)
+        for a in range(n - n // 2, n + 1)
+    }
+    top = max(counts.values(), default=0)
+    return top, sorted(k for k, v in counts.items() if v == top)

@@ -15,7 +15,7 @@ from tighthom.hypergraph import (
     tight_cycle,
 )
 
-from oracles import o_triangle_counts
+from oracles import o_e_opt, o_triangle_counts
 
 
 def all_colorings(n):
@@ -402,6 +402,23 @@ def test_e_opt_bounds_up_to_200():
         assert n**4 - 6 * n**3 <= 48 * top <= n**4
         for a, b in splits:
             assert a + b == n and a >= b
+
+
+def test_e_opt_walk_matches_split_scan():
+    # the walk from the balanced split stops at the first drop; the oracle scans
+    # every split
+    for n in range(401):
+        assert cen.e_opt(n) == o_e_opt(n)
+    start = time.perf_counter()
+    top, splits = cen.e_opt(10**9)
+    assert time.perf_counter() - start < 1
+    assert splits == [(500027386, 499972614)]
+
+    def count(a):
+        return math.comb(a, 3) * (10**9 - a) + a * math.comb(10**9 - a, 3)
+
+    # the count is unimodal in a >= n/2, so a strict local maximum is the maximum
+    assert count(500027385) < count(500027386) == top > count(500027387)
 
 
 def test_e_opt_matches_generated_graphs():

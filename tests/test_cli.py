@@ -288,7 +288,10 @@ def test_search_refuses_oversized_pool_at_once(mode):
         timeout=30,
     )
     assert proc.returncode == 2
-    assert proc.stderr == "error: search pool of 3,921,225 edges, over SEARCH_MAX_POOL=500\n"
+    assert proc.stderr == (
+        "error: canonical search is capped at 8 vertices, got 100\n" if mode
+        else "error: pool of 3921225 edges exceeds SEARCH_MAX_PLAIN_POOL=28\n"
+    )
 
 
 def test_search_runs_in_process():
@@ -348,6 +351,18 @@ def test_epsclose_and_walk(tmp_path):
         "--assert", expect=1,
     )
     assert out == "no walk found\n"
+
+
+def test_walk_pattern_longer_than_the_stack(tmp_path):
+    # 1,200 positions: one stack frame per position would overflow the interpreter
+    godd = tmp_path / "g66.hg"
+    run_cli("gen", "godd", "--a", "6", "--b", "6", "--output", str(godd))
+    pattern = ",".join("A" if i % 4 == 1 else "B" for i in range(1200))
+    out = run_cli(
+        "walk", "--input", str(godd), "--a", "0-5", "--b", "6-11", "--eps", "0",
+        "--start", "0,6,7", "--end", "11,5,10", "--pattern", pattern,
+    )
+    assert out.startswith("walk stretch=1202: 0 6 7 8 0 6 7 8 ")
 
 
 def test_default_triples_refuse_oversized_hosts(tmp_path):

@@ -15,7 +15,6 @@ from oracles import o_max_hom_free, o_plain_component, o_prune_low_codegree
 from strategies import hypergraphs
 from tighthom import extremal
 from tighthom.extremal import (
-    BudgetExceededError,
     _canonical_form,
     _reverse_walk_distances,
     brute_force_ex_hom,
@@ -107,16 +106,6 @@ def test_plain_search_work_is_pinned():
     ]
 
 
-def test_search_budget_error_carries_greedy_bound():
-    with pytest.raises(BudgetExceededError) as info:
-        brute_force_ex_hom(7, 4, {1})
-    err = info.value
-    assert err.lower_bound == 20
-    assert len(err.witness.edges) == 20
-    assert is_hom_free(err.witness, 1)
-    assert err.explored == 35
-
-
 def test_search_canonical_five_vertices():
     plain = brute_force_ex_hom(5, 4, {1})
     canon = brute_force_ex_hom(5, 4, {1}, canonical=True)
@@ -138,7 +127,7 @@ def test_search_canonical_six_agrees_with_plain():
 
 
 def test_search_canonical_cap():
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ValueError):
         brute_force_ex_hom(9, 4, {1}, canonical=True)
 
 
@@ -157,23 +146,28 @@ def test_search_builds_its_pool_once(monkeypatch, canonical):
 
 @pytest.mark.parametrize("canonical", [False, True])
 def test_search_refuses_oversized_pool_before_building_it(monkeypatch, canonical):
-    def unbuilt(n, r):
-        raise AssertionError("the pool was built")
+    def unasked(*args):
+        raise AssertionError("the search did work before refusing")
 
-    monkeypatch.setattr(extremal, "_colex_edges", unbuilt)
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="pool of 3,921,225 edges, over SEARCH_MAX_POOL=500"):
-        brute_force_ex_hom(100, 4, {1}, canonical=canonical)
-    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(extremal, "_colex_edges", unasked)
+    monkeypatch.setattr(extremal, "is_hom_free", unasked)
+    for n, r, ks in [(100, 4, {1}), (9, 4, {1}), (12, 4, {1}), (11, 6, {1, 2, 3, 4, 5})]:
+        message = (
+            f"canonical search is capped at 8 vertices, got {n}" if canonical
+            else f"pool of {math.comb(n, r)} edges exceeds SEARCH_MAX_PLAIN_POOL=28"
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            brute_force_ex_hom(n, r, ks, canonical=canonical)
+        assert time.perf_counter() - start < 1
 
 
 def test_search_refuses_pools_over_the_plain_ceiling():
     # a 126-edge include/exclude tree would run for hours
     start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="pool of 126 edges exceeds SEARCH_MAX_PLAIN_POOL=28") as info:
+    with pytest.raises(ValueError, match="pool of 126 edges exceeds SEARCH_MAX_PLAIN_POOL=28"):
         brute_force_ex_hom(9, 4, {1})
     assert time.perf_counter() - start < 1
-    assert is_hom_free(info.value.witness, 1)
 
 
 def test_search_residue_zero_forces_empty():

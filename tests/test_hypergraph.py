@@ -60,6 +60,9 @@ def test_twisted_cycle_rotated_wrap():
     assert len(g.edges) == 8
     with pytest.raises(ValueError):
         hg.twisted_tight_cycle(4, 7, cyc(4))
+    # a repeated slot is no permutation, whatever the length
+    with pytest.raises(ValueError, match="not a permutation"):
+        hg.twisted_tight_cycle(4, 9, (0, 0, 1, 2))
 
 
 def test_oddly_bipartite_counts():
