@@ -526,6 +526,12 @@ def build_walk_through_T(
     explicit vertices are settled against the actual edge set during the
     search. Returns the least walk in position-by-position vertex order, or
     None when the search exhausts.
+
+    The search is depth-first over positions 3 .. end; a position's candidates
+    are the completions of its last three vertices in g's face index, ascending.
+    The rest of the walk depends only on (position, last three vertices), so a
+    state whose candidates all fail is never expanded again: the work is at
+    most positions x states x candidates, not |pool|^positions.
     """
     eps = as_fraction(eps)
     if eps > Fraction(1, 10):
@@ -555,39 +561,33 @@ def build_walk_through_T(
             if window.count("A") % 2 == 0:
                 raise ValueError(f"label window {tuple(window)} has even A-count")
 
-    pools = {"A": sorted(set(a_side)), "B": sorted(set(b_side))}
-    seq: list = list(start) + [None] * len(tokens) + list(end)
-    last_waypoint = total - 7
+    # without recursion, so the pattern length is not bounded by the interpreter's
+    # stack; left[i] holds position i's untried candidates, dead the failed states
+    sides = {"A": frozenset(a_side), "B": frozenset(b_side)}
+    pools = [sides.get(tok, {tok}) for tok in full_tokens]
+    seq = list(start) + [None] * (total - 3)
+    left, dead = [None] * total, set()
 
-    def admissible(i: int) -> bool:
-        window = seq[i - 3 : i + 1]
-        if len(set(window)) != 4 or not g.has_edge(window):
-            return False
-        return not (3 <= i <= last_waypoint) or t.has_edge(seq[i - 2 : i + 1])
+    def candidates(i: int):
+        a, b, c = seq[i - 3 : i]
+        if (i, a, b, c) in dead:
+            return iter(())
+        return (
+            v for v in g.completions(tuple(sorted((a, b, c))))
+            if v in pools[i] and (i > total - 7 or t.has_edge((b, c, v)))
+        )
 
-    # depth-first over positions 3 .. total-4 without recursion, so the pattern
-    # length is not bounded by the interpreter's stack; at[i] is the index of the
-    # next candidate to try at position i
-    stop = total - 3
-    at = [0] * stop
     i = 3
-    while i >= 3:
-        if i == stop:
-            if all(admissible(j) for j in range(stop, total)):
-                break
+    while 3 <= i < total:
+        if left[i] is None:
+            left[i] = candidates(i)
+        seq[i] = next(left[i], None)
+        if seq[i] is None:
+            dead.add((i, *seq[i - 3 : i]))
+            left[i] = None
             i -= 1
-            continue
-        tok = tokens[i - 3]
-        options = pools[tok] if tok in pools else (tok,)
-        while at[i] < len(options):
-            seq[i] = options[at[i]]
-            at[i] += 1
-            if admissible(i):
-                i += 1
-                break
         else:
-            at[i] = 0
-            i -= 1
+            i += 1
     if i < 3:
         return None
     vertices = tuple(seq)

@@ -182,16 +182,15 @@ def _walk_table(g: Hypergraph) -> tuple[list[Oriented], list[list[int]]]:
     return g._walks
 
 
-def _walk_bfs(succ, r: int, start: int, floor: int = 0, goal: int = -1, cut=None) -> dict[int, int]:
+def _walk_bfs(succ, r: int, start: int, floor: int = 0, goal: int = -1) -> dict[int, int]:
     """Parents of the states ``window * r + residue`` reached from residue-0 state ``start``.
 
-    Parents are kept in discovery order.  Enters no state below ``floor``, ends
-    on discovering ``goal``, and expands no state at depth (that is, stretch)
-    ``cut - 1`` or more.
+    Parents are kept in discovery order.  Enters no state below ``floor`` and
+    ends on discovering ``goal``.
     """
     parent = {start: -1}
     level, depth = [start], 0
-    while level and (cut is None or depth + 1 < cut):
+    while level:
         depth += 1
         residue = depth % r
         nxt = []
@@ -280,10 +279,10 @@ def _closed_walk_search(g: Hypergraph, k: int):
     if best is None:
         return None
     depth, i = best
-    # replay the winner alone; the cut does not change the discovery order, so this
-    # is the first walk that start's own search finds
+    # replay the winner alone: under the same floor its own search discovers the
+    # goal at the block's depth, and this is the first walk that search finds
     start = i * r
-    parent = _walk_bfs(succ, r, start, floor=start, goal=start + k, cut=depth + 1)
+    parent = _walk_bfs(succ, r, start, floor=start, goal=start + k)
     s = start + k
     appended = []
     while s != start:
@@ -359,9 +358,9 @@ def find_hom_cycle_witness(g: Hypergraph, k: int) -> WalkWitness | None:
     minimum, and the least such start its winner; a later block must beat it
     strictly.  So the winner is the least start attaining the minimum, as with
     one search per start.  Its walk comes from replaying that start's own
-    search, cut after the minimum: the cut does not change the order in which
-    states are discovered, so the witness is the first walk that search finds
-    (successors by ascending appended vertex).
+    search, which enters the same states and so discovers its goal at the
+    minimum: the witness is the first walk that search finds (successors by
+    ascending appended vertex).
     """
     witness = _closed_walk_search(g, k)
     if witness is not None and not is_valid_closed_walk(g, witness.vertices, k):

@@ -410,6 +410,34 @@ def o_max_hom_free(n, r, residues):
 
 
 # ---------------------------------------------------------------------------
+# tight walks through a waypoint triple family
+
+
+def o_walk_through(edges, triples, a_side, b_side, endpoints, pattern):
+    """Least routed walk by trying every sequence: start, pattern, end.
+
+    Each pattern entry "A" or "B" ranges over that part, in ascending order,
+    and any other entry is that one vertex.  A sequence counts when every
+    4-window is four distinct vertices forming an edge and every position
+    3 .. len - 7 closes a waypoint triple with its two predecessors.  Returns
+    the lexicographically least such sequence, or None.
+    """
+    edge_set = {frozenset(e) for e in edges}
+    triple_set = {frozenset(tri) for tri in triples}
+    sides = {"A": sorted(a_side), "B": sorted(b_side)}
+    start, end = endpoints
+    choices = [(v,) for v in start] + [sides.get(tok, (tok,)) for tok in pattern] + [(v,) for v in end]
+    total = len(choices)
+    for seq in itertools.product(*choices):
+        windows = (seq[i - 3 : i + 1] for i in range(3, total))
+        if not all(len(set(w)) == 4 and frozenset(w) in edge_set for w in windows):
+            continue
+        if all(frozenset(seq[i - 2 : i + 1]) in triple_set for i in range(3, total - 6)):
+            return seq
+    return None
+
+
+# ---------------------------------------------------------------------------
 # accordant colorings
 
 

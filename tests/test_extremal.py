@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import o_max_hom_free, o_plain_component, o_prune_low_codegree
+from oracles import o_max_hom_free, o_plain_component, o_prune_low_codegree, o_walk_through
 from strategies import hypergraphs
 from tighthom import extremal
 from tighthom.extremal import (
@@ -618,3 +618,99 @@ def test_walk_preconditions():
         build_walk_through_T(g, a, b, t, 0, ends, ("B", "A", 99, "A", "B", "A"))
     with pytest.raises(ValueError):
         build_walk_through_T(g, a, b, t, 0, ends, ("A", "A", "A", "A", "B", "B"))
+
+
+def test_walk_state_search_settles_dead_ends_quickly():
+    # no walk exists, and a search that forgets failed (position, last three)
+    # states retries them for about a minute before saying so
+    g = complete_oddly_bipartite(6, 6)
+    start = time.perf_counter()
+    w = build_walk_through_T(
+        g, range(6), range(6, 12), all_triples(12), 0,
+        ((3, 2, 9), (8, 11, 7)), ("A", "A", "A", "B", "A", "A", "A", "B", "A", "A", "A"),
+    )
+    assert w is None
+    assert time.perf_counter() - start < 1
+
+
+def _walk_draw(rng):
+    """A godd(a, a) host with a few extra edges, endpoints and a 6-8 entry pattern.
+
+    Sides follow the odd-window rule mostly, so both walks and dead ends turn up;
+    some entries are explicit vertices.
+    """
+    a = rng.choice((4, 5))
+    n = 2 * a
+    base = complete_oddly_bipartite(a, a)
+    spare = [e for e in itertools.combinations(range(n), 4) if not base.has_edge(e)]
+    g = Hypergraph(4, n, base.edges + tuple(rng.sample(spare, rng.randrange(4))))
+    sides = [rng.choice("AB") for _ in range(3)]
+    for _ in range(rng.randrange(6, 9) + 3):
+        odd = "B" if sides[-3:].count("A") % 2 else "A"
+        sides.append(odd if rng.random() < 0.85 else rng.choice("AB"))
+    part = {"A": range(a), "B": range(a, n)}
+    ends = (_distinct_triple(rng, part, sides[:3]), _distinct_triple(rng, part, sides[-3:]))
+    pattern = [rng.choice(part[s]) if rng.random() < 0.15 else s for s in sides[3:-3]]
+    return g, (range(a), range(a, n)), ends, pattern
+
+
+def _distinct_triple(rng, part, labels):
+    """Three distinct vertices, the j-th drawn from the part labelled ``labels[j]``."""
+    out = []
+    for s in labels:
+        out.append(rng.choice([v for v in part[s] if v not in out]))
+    return tuple(out)
+
+
+def test_walk_matches_the_product_oracle():
+    compared, found = 0, 0
+    for seed in range(160):
+        g, (a_side, b_side), ends, pattern = _walk_draw(random.Random(seed))
+        t = all_triples(g.n)
+        try:
+            w = build_walk_through_T(g, a_side, b_side, t, Fraction(1, 10), ends, pattern)
+        except ValueError as exc:
+            assert "even A-count" in str(exc)
+            continue
+        expected = o_walk_through(g.edges, t.edges, a_side, b_side, ends, pattern)
+        assert (w and w.vertices) == expected, (seed, ends, pattern)
+        compared += 1
+        found += w is not None
+    assert compared >= 100
+    assert 0 < found < compared
+
+
+def test_walk_matches_the_product_oracle_on_thinned_waypoints():
+    # on the hosts above every triple is a waypoint; here a pair-disjoint set of
+    # triples among the low vertices of each part is dropped, which costs each
+    # pair at most one third, so the audit at 1/10 still passes on 24 vertices
+    g = perturbed_host()
+    low = {"A": range(6), "B": range(12, 18)}
+    everything = all_triples(24)
+    compared, rerouted = 0, 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        dropped, used = set(), set()
+        for tri in rng.sample(list(itertools.combinations([*low["A"], *low["B"]], 3)), 120):
+            pairs = set(itertools.combinations(tri, 2))
+            if used.isdisjoint(pairs):
+                dropped.add(tri)
+                used |= pairs
+        t = Hypergraph(3, 24, set(everything.edges) - dropped)
+        sides = [rng.choice("AB") for _ in range(3)]
+        for _ in range(9):
+            sides.append("B" if sides[-3:].count("A") % 2 else "A")
+        start, end = _distinct_triple(rng, low, sides[:3]), _distinct_triple(rng, low, sides[9:])
+        if not (t.has_edge(start) and t.has_edge(end)):
+            continue
+        labelled = set(rng.sample(range(6), 3))
+        pattern = [s if j in labelled else rng.choice(low[s]) for j, s in enumerate(sides[3:9])]
+        w = build_walk_through_T(g, range(12), range(12, 24), t, Fraction(1, 10), (start, end), pattern)
+        expected = o_walk_through(g.edges, t.edges, range(12), range(12, 24), (start, end), pattern)
+        assert (w and w.vertices) == expected, (seed, start, end, pattern)
+        compared += 1
+        rerouted += expected != o_walk_through(
+            g.edges, everything.edges, range(12), range(12, 24), (start, end), pattern
+        )
+    assert compared >= 20
+    assert rerouted
