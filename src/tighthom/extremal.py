@@ -20,12 +20,14 @@ from fractions import Fraction
 
 from .census import as_fraction
 from .hypergraph import Hypergraph, shadow
-from .permgroup import MAX_ARITY
+from .permgroup import MAX_ARITY, cyc, perm_power
 from .tightconn import (
     WalkWitness,
+    component_index,
     contains_hom_cycle_of_length,
     is_hom_free,
     is_valid_walk,
+    join_edge,
     oriented_edges,
     walk_distances,
 )
@@ -37,11 +39,11 @@ Edge = tuple[int, ...]
 # exhaustive search
 
 # The largest pool a plain search walks.  The include/exclude tree grows about
-# exponentially in the pool (single runs on a 2-core machine): pool 20 (n = 6,
-# r = 3) 1.3 s; pool 21 1.5 s at r = 2 and 3.8 s at r = 5; pool 28 11.1 s at
-# r = 2 and 43.9 s at r = 6; pool 35 ran past 60 s at r = 3 and past 120 s at
-# r = 4.  The demos and bench search plain pools of at most 15 edges, the tests
-# of at most 21 (n = 7, r = 2).
+# exponentially in the pool (single runs at k = 1 on a 2-core x86_64 machine,
+# Python 3.11): pool 20 (n = 6, r = 3) 0.14 s; pool 21 0.11 s at r = 2 and
+# 0.27 s at r = 5; pool 28 1.1 s at r = 2 and 4.5 s at r = 6; pool 35 27 s at
+# r = 3 and 93 s at r = 4.  The demos and bench search plain pools of at most
+# 15 edges, the tests of at most 21 (n = 7, r = 2).
 SEARCH_MAX_PLAIN_POOL = 28
 
 # The most vertices a canonical search takes, so its pool has at most C(8, 4) =
@@ -66,12 +68,12 @@ def _colex_edges(n: int, r: int) -> list[Edge]:
     return sorted(itertools.combinations(range(n), r), key=lambda e: e[::-1])
 
 
-def _free_for_all(g: Hypergraph, residues) -> bool:
-    return all(is_hom_free(g, k) for k in residues)
-
-
-def _search_plain(n: int, r: int, residues, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
+def _search_plain(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
     """Include/exclude DFS over the edge pool, searched to the leaves.
+
+    A candidate is its hom-free parent plus one edge, decided by ``join_edge``
+    from the parent's component index: only the components its faces touch
+    merge.  An included edge grows the index that its subtree reads.
 
     The first min(2, |pool|) decisions are fixed in turn, and each of those
     subtrees is searched under its own bound, so each collects every tying
@@ -82,7 +84,7 @@ def _search_plain(n: int, r: int, residues, pool) -> tuple[int, list[tuple[Edge,
     outcomes: list[tuple[int, list[tuple[Edge, ...]]]] = []
 
     # prefix, best and leaves belong to the subtree the loop below is searching
-    def dfs(i: int, acc: list[Edge]) -> None:
+    def dfs(i: int, acc: list[Edge], index) -> None:
         nonlocal best, explored, leaves
         if len(acc) + (len(pool) - i) < best:
             return
@@ -97,17 +99,18 @@ def _search_plain(n: int, r: int, residues, pool) -> tuple[int, list[tuple[Edge,
         bit = prefix[i] if i < len(prefix) else None
         if bit != 0:
             explored += 1
-            if _free_for_all(Hypergraph(r, n, acc + [e]), residues):
+            child = join_edge(index, e, pis, grow=True)
+            if child is not None:
                 acc.append(e)
-                dfs(i + 1, acc)
+                dfs(i + 1, acc, child)
                 acc.pop()
         if bit != 1:
-            dfs(i + 1, acc)
+            dfs(i + 1, acc, index)
 
     for prefix in itertools.product((0, 1), repeat=min(2, len(pool))):
         best = -1
         leaves: list[tuple[Edge, ...]] = []
-        dfs(0, [])
+        dfs(0, [], ({}, {}))
         outcomes.append((best, leaves))
     best = max(b for b, _ in outcomes)
     tying = sorted(tuple(sorted(w)) for b, ws in outcomes if b == best for w in ws)
@@ -147,21 +150,28 @@ def _canonical_form(n: int, edges) -> tuple[Edge, ...]:
     return best
 
 
-def _search_canonical(n: int, r: int, residues, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
+def _search_canonical(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
+    """Level by level over isomorphism classes: each representative's component
+    index decides its one-edge extensions, and a labeled extension that another
+    representative already formed in this level is not formed again."""
     level: set[tuple[Edge, ...]] = {()}
     depth = 0
     explored = 0
     while True:
         nxt: set[tuple[Edge, ...]] = set()
+        formed: set[tuple[Edge, ...]] = set()
         for rep in level:
+            index = component_index(Hypergraph(r, n, rep))
             have = set(rep)
             for e in pool:
                 if e in have:
                     continue
                 explored += 1
-                cand = sorted(have | {e})
-                if _free_for_all(Hypergraph(r, n, cand), residues):
-                    nxt.add(_canonical_form(n, cand))
+                if join_edge(index, e, pis):
+                    cand = tuple(sorted(have | {e}))
+                    if cand not in formed:
+                        formed.add(cand)
+                        nxt.add(_canonical_form(n, cand))
         if not nxt:
             return depth, sorted(level), explored
         level = nxt
@@ -196,7 +206,7 @@ def brute_force_ex_hom(n: int, r: int, residues, canonical: bool = False) -> Sea
         raise ValueError(f"pool of {size} edges exceeds {SEARCH_MAX_PLAIN_POOL=}")
     pool = _colex_edges(n, r)
     search = _search_canonical if canonical else _search_plain
-    max_edges, found, explored = search(n, r, ks, pool)
+    max_edges, found, explored = search(n, r, [perm_power(cyc(r), k) for k in sorted(ks)], pool)
     witnesses = tuple(Hypergraph(r, n, edges) for edges in found)
     return SearchResult(n, r, ks, max_edges, witnesses, explored, canonical, True)
 

@@ -22,6 +22,15 @@ slot moves (``_slot_moves``, a ``right_mul`` per (i, j) and arity), and a closed
 cycle's generator is one getter, kept per edge, of the inverse potential; the
 potentials and generators are those of sorting and reordering the new edge.
 
+A graph plus one edge ``e`` needs no new search (``join_edge``).  Each edge
+keeps its potential and its class's group with the generators ``_close``
+kept.  Each neighbour of ``e`` through a face proposes a potential for ``e``
+by a slot move in reverse, and the first proposal fixes it.  Another from the
+same class closes a cycle and adds one generator.  One from another class
+merges that class, whose potentials and generators move by the step between
+the two proposals.  The first class's group grows by cosets, so only the
+touched classes are read.
+
 A tight walk of stretch s appends s vertices to a start window, every
 intermediate width-r window being an edge with distinct vertices.  Closed
 walks (first window = last window) of stretch s = k (mod r) are exactly what
@@ -48,8 +57,8 @@ from functools import lru_cache
 
 from .hypergraph import Edge, Hypergraph
 from .permgroup import (
-    Perm, apply_to_tuple, avoids, closure, compose, cyc, embeds_in, identity, inverse, perm_power,
-    reorder_perm, right_mul,
+    Perm, _close, apply_to_tuple, avoids, closure, compose, cyc, embeds_in, identity, inverse,
+    minimal_generators, perm_power, reorder_perm, right_mul,
 )
 
 Oriented = tuple[int, ...]
@@ -165,6 +174,73 @@ def is_hom_free(g: Hypergraph, k: int) -> bool:
         return not g.edges
     pi = perm_power(cyc(g.r), k)
     return all(avoids(c.tc, pi) for c in tight_components(g))
+
+
+def component_index(g: Hypergraph) -> tuple[dict, dict]:
+    """``g``'s face index, and per edge its potential and its class's group and
+    generators, read off ``tight_components``: what ``join_edge`` reads."""
+    faces = {(face := f[:i] + f[i + 1 :]): g.completions(face) for f in g.edges for i in range(g.r)}
+    entries = {}
+    for c in tight_components(g):
+        comp = (c.tc, minimal_generators(c.tc))
+        entries.update((f, (pf, comp)) for f, pf in c.potentials)
+    return faces, entries
+
+
+def join_edge(index, e: Edge, pis, grow: bool = False):
+    """Is ``g + e`` free of every ``pi`` in ``pis``, given the index of a free ``g``?
+
+    The index is ``component_index(g)`` or one this grew.  The classes that
+    meet a face of ``e`` merge into the first one met.  None when the merged
+    group is S_r or meets a ``pi``'s cycle type (residue 0's identity always
+    does); else True, or with ``grow`` the index of ``g + e``.
+    """
+    faces, entries = index
+    r = len(e)
+    ident = identity(r)
+    moves = _slot_moves(r)
+    base, q0 = None, ident
+    moved = {}  # id(class) -> t moving its potentials into base's frame (None: base)
+    gens = []
+    for i in range(r):
+        face = e[:i] + e[i + 1 :]
+        for w in faces.get(face, ()):
+            j = bisect_left(face, w)
+            pf, comp = entries[face[:j] + (w,) + face[j:]]
+            q = moves[j][i](pf)  # e's potential seen from that neighbour
+            if base is None:
+                base, q0, back = comp, q, right_mul(inverse(q))
+                moved[id(comp)] = None
+            elif (key := id(comp)) in moved:
+                t = moved[key]
+                gens.append(back(q if t is None else compose(t, q)))  # a closed cycle
+            else:
+                t = moved[key] = compose(q0, inverse(q))
+                t_inv = inverse(t)
+                gens.extend(compose(t, compose(h, t_inv)) for h in comp[1])
+    if base is None:
+        group, kept = {ident}, []
+    else:
+        group, kept = _close(ident, gens, right_mul, math.factorial(r) // 2, *base)
+    if base is not None and len(kept) == len(base[1]):
+        comp = base  # no new generator, and g is free
+    elif group is None or not all(avoids(group, pi) for pi in pis):
+        return None
+    else:
+        comp = (group, kept)
+    if not grow:
+        return True
+    grown = dict(faces)
+    for i, v in enumerate(e):
+        face = e[:i] + e[i + 1 :]
+        grown[face] = tuple(sorted((*faces.get(face, ()), v)))
+    child = dict(entries)
+    for f, (pf, c) in entries.items():
+        if (key := id(c)) in moved:
+            t = moved[key]
+            child[f] = (pf if t is None else compose(t, pf), comp)
+    child[e] = (q0, comp)
+    return grown, child
 
 
 def _walk_table(g: Hypergraph) -> tuple[list[Oriented], list[list[int]]]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import o_max_hom_free, o_plain_component, o_prune_low_codegree, o_walk_through
 from strategies import hypergraphs
-from tighthom import extremal
+from tighthom import extremal, tightconn
 from tighthom.extremal import (
     _canonical_form,
     _reverse_walk_distances,
@@ -69,7 +69,7 @@ def test_search_single_edge_domain():
     "n,r,ks",
     [
         (4, 4, (1,)), (5, 4, (1,)), (5, 4, (1, 3)), (5, 4, (2,)), (4, 3, (1, 2)), (5, 2, (1,)),
-        (5, 3, (1,)), (5, 3, (1, 2)),
+        (5, 3, (1,)), (5, 3, (1, 2)), (6, 5, (1,)), (6, 5, (2, 4)), (7, 6, (1,)), (7, 6, (2, 3)),
     ],
 )
 def test_search_matches_naive_enumeration(n, r, ks):
@@ -151,6 +151,9 @@ def test_search_refuses_oversized_pool_before_building_it(monkeypatch, canonical
 
     monkeypatch.setattr(extremal, "_colex_edges", unasked)
     monkeypatch.setattr(extremal, "is_hom_free", unasked)
+    monkeypatch.setattr(extremal, "component_index", unasked)
+    monkeypatch.setattr(extremal, "join_edge", unasked)
+    monkeypatch.setattr(tightconn, "tight_components", unasked)
     for n, r, ks in [(100, 4, {1}), (9, 4, {1}), (12, 4, {1}), (11, 6, {1, 2, 3, 4, 5})]:
         message = (
             f"canonical search is capped at 8 vertices, got {n}" if canonical

@@ -15,7 +15,7 @@ from tighthom.hypergraph import (
     complete_oddly_bipartite,
     tight_cycle,
 )
-from tighthom.permgroup import all_perms, apply_to_tuple, closure, cyc, perm_power
+from tighthom.permgroup import all_perms, apply_to_tuple, closure, cyc, cycle_type, perm_power
 
 from oracles import (
     o_closed_stretch_upper_bound,
@@ -196,6 +196,43 @@ def test_potentials_are_pinned():
             for e, p in c.potentials:
                 assert apply_to_tuple(p, e) in plain
     assert hashlib.sha256(repr(pinned).encode()).hexdigest() == POTENTIALS_DIGEST
+
+
+def test_join_edge_matches_whole_graph_components():
+    # grow random graphs one edge at a time in random order: each verdict is the
+    # whole graph's, and each grown index carries, per class, one group and
+    # potentials that land its edges in one plain component with that group
+    rng = random.Random(21)
+    verdicts = []
+    for _ in range(300):
+        r = rng.randint(2, 6)
+        n = rng.randint(r, 8)
+        ks = rng.sample(range(1, r), rng.randint(1, r - 1))
+        pis = [perm_power(cyc(r), k) for k in ks]
+        pool = list(itertools.combinations(range(n), r))
+        rng.shuffle(pool)
+        acc, index = [], ({}, {})
+        for e in pool[: rng.randint(1, 16)]:
+            grown = tcn.join_edge(index, e, pis, grow=True)
+            verdicts.append(grown is not None)
+            g = Hypergraph(r, n, acc + [e])
+            assert (grown is not None) == all(tcn.is_hom_free(g, k) for k in ks)
+            assert (tcn.join_edge(index, e, pis) is True) == (grown is not None)
+            if grown is None:
+                continue
+            acc.append(e)
+            index = grown
+            faces, entries = index
+            assert faces == {face: g.completions(face) for face in faces}
+            for c in tcn.tight_components(g):
+                (group, _), = {id(entries[f][1]): entries[f][1] for f in c.edge_supports()}.values()
+                assert len(group) == len(c.tc)
+                assert sorted(map(cycle_type, group)) == sorted(map(cycle_type, c.tc))
+                x = apply_to_tuple(entries[c.representative][0], c.representative)
+                plain = o_plain_component(g.edges, n, r, x)
+                assert all(apply_to_tuple(entries[f][0], f) in plain for f in c.edge_supports())
+                assert set(group) == {h for h in all_perms(r) if apply_to_tuple(h, x) in plain}
+    assert len(verdicts) > 1000 and not all(verdicts)
 
 
 @pytest.mark.parametrize("r,ell", [(4, 9), (4, 10), (5, 12), (6, 14), (7, 9)])
