@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .hypergraph import Hypergraph, complete_oddly_bipartite
+from .hypergraph import Edge, Hypergraph, complete_oddly_bipartite
 from .permgroup import (
     Color,
     ColorSet,
@@ -40,8 +40,6 @@ from .permgroup import (
     reorder_perm,
 )
 from .tightconn import is_hom_free, tight_components
-
-Edge = tuple[int, ...]
 
 
 @dataclass

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .census import as_fraction
-from .hypergraph import Hypergraph, shadow
+from .hypergraph import Edge, Hypergraph, shadow
 from .permgroup import MAX_ARITY, cyc, perm_power
 from .tightconn import (
     WalkWitness,
-    component_index,
     contains_hom_cycle_of_length,
     is_hom_free,
     is_valid_walk,
@@ -31,8 +30,6 @@ from .tightconn import (
     oriented_edges,
     walk_distances,
 )
-
-Edge = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +70,8 @@ def _search_plain(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, ...]
 
     A candidate is its hom-free parent plus one edge, decided by ``join_edge``
     from the parent's component index: only the components its faces touch
-    merge.  An included edge grows the index that its subtree reads.
+    merge.  An included edge grows the index that its subtree reads, and a
+    grown index lists the included edges in pool order.
 
     The first min(2, |pool|) decisions are fixed in turn, and each of those
     subtrees is searched under its own bound, so each collects every tying
@@ -84,16 +82,17 @@ def _search_plain(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, ...]
     outcomes: list[tuple[int, list[tuple[Edge, ...]]]] = []
 
     # prefix, best and leaves belong to the subtree the loop below is searching
-    def dfs(i: int, acc: list[Edge], index) -> None:
+    def dfs(i: int, index) -> None:
         nonlocal best, explored, leaves
-        if len(acc) + (len(pool) - i) < best:
+        size = len(index[1])
+        if size + (len(pool) - i) < best:
             return
         if i == len(pool):
-            if len(acc) > best:
-                best = len(acc)
-                leaves = [tuple(acc)]
-            elif len(acc) == best:
-                leaves.append(tuple(acc))
+            if size > best:
+                best = size
+                leaves = [tuple(index[1])]
+            elif size == best:
+                leaves.append(tuple(index[1]))
             return
         e = pool[i]
         bit = prefix[i] if i < len(prefix) else None
@@ -101,16 +100,14 @@ def _search_plain(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, ...]
             explored += 1
             child = join_edge(index, e, pis, grow=True)
             if child is not None:
-                acc.append(e)
-                dfs(i + 1, acc, child)
-                acc.pop()
+                dfs(i + 1, child)
         if bit != 1:
-            dfs(i + 1, acc, index)
+            dfs(i + 1, index)
 
     for prefix in itertools.product((0, 1), repeat=min(2, len(pool))):
         best = -1
         leaves: list[tuple[Edge, ...]] = []
-        dfs(0, [], ({}, {}))
+        dfs(0, ({}, {}))
         outcomes.append((best, leaves))
     best = max(b for b, _ in outcomes)
     tying = sorted(tuple(sorted(w)) for b, ws in outcomes if b == best for w in ws)
@@ -152,7 +149,8 @@ def _canonical_form(n: int, edges) -> tuple[Edge, ...]:
 
 def _search_canonical(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
     """Level by level over isomorphism classes: each representative's component
-    index decides its one-edge extensions, and a labeled extension that another
+    index, grown by ``join_edge`` over its edges from the empty graph, decides
+    its one-edge extensions, and a labeled extension that another
     representative already formed in this level is not formed again."""
     level: set[tuple[Edge, ...]] = {()}
     depth = 0
@@ -161,7 +159,9 @@ def _search_canonical(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, 
         nxt: set[tuple[Edge, ...]] = set()
         formed: set[tuple[Edge, ...]] = set()
         for rep in level:
-            index = component_index(Hypergraph(r, n, rep))
+            index = ({}, {})
+            for f in rep:
+                index = join_edge(index, f, pis, grow=True)
             have = set(rep)
             for e in pool:
                 if e in have:
@@ -187,7 +187,9 @@ def brute_force_ex_hom(n: int, r: int, residues, canonical: bool = False) -> Sea
     found; it takes pools of at most SEARCH_MAX_PLAIN_POOL edges. ``canonical``
     switches to a level-by-level scan of isomorphism classes instead, on at
     most SEARCH_MAX_CANONICAL_N vertices. Either runs in this process.
-    Witnesses come sorted by their sorted edge tuples.
+    Witnesses come sorted by their sorted edge tuples, and each is re-checked
+    by ``is_hom_free`` for every residue, the whole-graph route (RuntimeError
+    on a disagreement).
 
     Raises ValueError before any work for bad arguments, an arity above
     MAX_ARITY (every candidate closes a connection group inside S_r), or a
@@ -208,6 +210,9 @@ def brute_force_ex_hom(n: int, r: int, residues, canonical: bool = False) -> Sea
     search = _search_canonical if canonical else _search_plain
     max_edges, found, explored = search(n, r, [perm_power(cyc(r), k) for k in sorted(ks)], pool)
     witnesses = tuple(Hypergraph(r, n, edges) for edges in found)
+    for w in witnesses:
+        if not all(is_hom_free(w, k) for k in ks):
+            raise RuntimeError(f"search witness {w.edges!r} is not hom-free for residues {sorted(ks)}")
     return SearchResult(n, r, ks, max_edges, witnesses, explored, canonical, True)
 
 

@@ -24,12 +24,16 @@ potentials and generators are those of sorting and reordering the new edge.
 
 A graph plus one edge ``e`` needs no new search (``join_edge``).  Each edge
 keeps its potential and its class's group with the generators ``_close``
-kept.  Each neighbour of ``e`` through a face proposes a potential for ``e``
-by a slot move in reverse, and the first proposal fixes it.  Another from the
-same class closes a cycle and adds one generator.  One from another class
-merges that class, whose potentials and generators move by the step between
-the two proposals.  The first class's group grows by cosets, so only the
-touched classes are read.
+kept, in an index grown one edge at a time from the empty graph.  Each
+neighbour of ``e`` through a face proposes a potential for ``e`` by a slot
+move in reverse, and the first proposal fixes it.  Another from the same
+class closes a cycle and adds one generator.  One from another class merges
+that class, whose potentials and generators move by the step between the two
+proposals.  The first class's group grows by cosets, so only the touched
+classes are read.  The two builders answer separate questions: the search
+over a whole graph gives ``tight_components``, and the extremal search grows
+its candidates with ``join_edge`` and re-checks each witness through
+``is_hom_free``.
 
 A tight walk of stretch s appends s vertices to a start window, every
 intermediate width-r window being an edge with distinct vertices.  Closed
@@ -58,7 +62,7 @@ from functools import lru_cache
 from .hypergraph import Edge, Hypergraph
 from .permgroup import (
     Perm, _close, apply_to_tuple, avoids, closure, compose, cyc, embeds_in, identity, inverse,
-    minimal_generators, perm_power, reorder_perm, right_mul,
+    perm_power, reorder_perm, right_mul,
 )
 
 Oriented = tuple[int, ...]
@@ -176,24 +180,13 @@ def is_hom_free(g: Hypergraph, k: int) -> bool:
     return all(avoids(c.tc, pi) for c in tight_components(g))
 
 
-def component_index(g: Hypergraph) -> tuple[dict, dict]:
-    """``g``'s face index, and per edge its potential and its class's group and
-    generators, read off ``tight_components``: what ``join_edge`` reads."""
-    faces = {(face := f[:i] + f[i + 1 :]): g.completions(face) for f in g.edges for i in range(g.r)}
-    entries = {}
-    for c in tight_components(g):
-        comp = (c.tc, minimal_generators(c.tc))
-        entries.update((f, (pf, comp)) for f, pf in c.potentials)
-    return faces, entries
-
-
 def join_edge(index, e: Edge, pis, grow: bool = False):
     """Is ``g + e`` free of every ``pi`` in ``pis``, given the index of a free ``g``?
 
-    The index is ``component_index(g)`` or one this grew.  The classes that
-    meet a face of ``e`` merge into the first one met.  None when the merged
-    group is S_r or meets a ``pi``'s cycle type (residue 0's identity always
-    does); else True, or with ``grow`` the index of ``g + e``.
+    The index is ``({}, {})`` for the empty graph, or one this grew.  The
+    classes that meet a face of ``e`` merge into the first one met.  None
+    when the merged group is S_r or meets a ``pi``'s cycle type (residue 0's
+    identity always does); else True, or with ``grow`` the index of ``g + e``.
     """
     faces, entries = index
     r = len(e)
@@ -408,8 +401,8 @@ def is_valid_walk(g: Hypergraph, vertices) -> bool:
     return True
 
 
-def is_valid_closed_walk(g: Hypergraph, vertices, k=None) -> bool:
-    """Closed walk of stretch len - r: the last window replays the first.
+def is_valid_closed_walk(g: Hypergraph, vertices, k: int) -> bool:
+    """Closed walk of stretch len - r = ``k`` (mod r): the last window replays the first.
 
     Reading the first ``stretch`` vertices cyclically gives a homomorphic
     image of the tight cycle on ``stretch`` vertices.
@@ -419,7 +412,7 @@ def is_valid_closed_walk(g: Hypergraph, vertices, k=None) -> bool:
         return False
     if seq[: g.r] != seq[-g.r :]:
         return False
-    return k is None or (len(seq) - g.r) % g.r == k % g.r
+    return (len(seq) - g.r) % g.r == k % g.r
 
 
 def find_hom_cycle_witness(g: Hypergraph, k: int) -> WalkWitness | None:

@@ -151,7 +151,6 @@ def test_search_refuses_oversized_pool_before_building_it(monkeypatch, canonical
 
     monkeypatch.setattr(extremal, "_colex_edges", unasked)
     monkeypatch.setattr(extremal, "is_hom_free", unasked)
-    monkeypatch.setattr(extremal, "component_index", unasked)
     monkeypatch.setattr(extremal, "join_edge", unasked)
     monkeypatch.setattr(tightconn, "tight_components", unasked)
     for n, r, ks in [(100, 4, {1}), (9, 4, {1}), (12, 4, {1}), (11, 6, {1, 2, 3, 4, 5})]:
@@ -163,6 +162,29 @@ def test_search_refuses_oversized_pool_before_building_it(monkeypatch, canonical
         with pytest.raises(ValueError, match=message):
             brute_force_ex_hom(n, r, ks, canonical=canonical)
         assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_search_witnesses_are_rechecked(monkeypatch, canonical):
+    # the whole-graph route referees every answer of the grown indexes
+    monkeypatch.setattr(extremal, "is_hom_free", lambda g, k: False)
+    with pytest.raises(RuntimeError, match="not hom-free"):
+        brute_force_ex_hom(5, 4, {1}, canonical=canonical)
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_search_reads_components_only_of_its_witnesses(monkeypatch, canonical):
+    # both modes grow their indexes with join_edge; only the witness re-check
+    # runs the whole-graph search
+    seen, components = [], tightconn.tight_components
+
+    def recorded(g):
+        seen.append(g)
+        return components(g)
+
+    monkeypatch.setattr(tightconn, "tight_components", recorded)
+    res = brute_force_ex_hom(6, 4, {1}, canonical=canonical)
+    assert seen and all(g in res.witnesses for g in seen)
 
 
 def test_search_refuses_pools_over_the_plain_ceiling():
