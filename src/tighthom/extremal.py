@@ -45,7 +45,8 @@ SEARCH_MAX_PLAIN_POOL = 28
 
 # The most vertices a canonical search takes, so its pool has at most C(8, 4) =
 # 70 edges at r = 4.  Its levels hold every isomorphism class of hom-free
-# graphs: n = 7 at r = 4 (a 35-edge pool) took 586 s.
+# graphs: n = 7 at r = 4 (a 35-edge pool) took 108 s and at r = 3 41 s (single
+# runs of `search --k 1 --canonical`, same machine as above).
 SEARCH_MAX_CANONICAL_N = 8
 
 
@@ -115,50 +116,77 @@ def _search_plain(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, ...]
 
 
 def _vertex_invariants(n: int, edges) -> tuple:
-    """Iterated degree profile, refined until the partition stabilizes."""
-    inv = tuple(sum(v in e for e in edges) for v in range(n))
-    while True:
-        nxt = tuple(
-            (inv[v], tuple(sorted(tuple(sorted(inv[u] for u in e if u != v)) for e in edges if v in e)))
-        for v in range(n))
-        if len(set(nxt)) == len(set(inv)):
-            return inv
-        inv = nxt
+    """Iterated degree profile, refined until the partition stabilizes.  Each
+    round's values become their ranks, which keeps the classes and their order."""
+    others = [[tuple(u for u in e if u != v) for e in edges if v in e] for v in range(n)]
+    inv = tuple(len(o) for o in others)
+    while len(set(inv)) < n:
+        vals = [(inv[v], tuple(sorted(tuple(sorted(map(inv.__getitem__, o))) for o in others[v])))
+                for v in range(n)]
+        rank = {x: i for i, x in enumerate(sorted(set(vals)))}
+        if len(rank) == len(set(inv)):
+            break
+        inv = tuple(rank[x] for x in vals)
+    return inv
 
 
-def _canonical_form(n: int, edges) -> tuple[Edge, ...]:
-    """Least relabeling of the edge set over invariant-respecting bijections."""
+def _canonical_form(n: int, edges) -> tuple[tuple[Edge, ...], list[tuple[int, ...]]]:
+    """Least relabeling of the edge set over invariant-respecting bijections,
+    and the form's automorphisms as label permutations.
+
+    Label ``pos`` has the bit ``1 << (n - 1 - pos)`` and an edge the OR of its
+    labels' bits, so the lex-smaller of two sorted r-sets has the larger mask,
+    and the lex-least sorted image has the largest OR of ``1 << mask``.  The
+    bijections attaining it, each inverted and then labeled by the first one,
+    are each automorphism of the form once."""
     inv = _vertex_invariants(n, edges)
     classes: dict = {}
     for v in range(n):
         classes.setdefault(inv[v], []).append(v)
     ordered = [classes[key] for key in sorted(classes)]
-    best = None
+    bits = [1 << (n - 1 - pos) for pos in range(n)]
+    bit = [0] * n
+    best, tying = -1, []
     for parts in itertools.product(*(itertools.permutations(c) for c in ordered)):
-        relabel = {}
-        pos = 0
-        for arrangement in parts:
-            for v in arrangement:
-                relabel[v] = pos
-                pos += 1
-        img = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in edges))
-        if best is None or img < best:
-            best = img
-    return best
+        order = tuple(itertools.chain.from_iterable(parts))
+        for pos, v in enumerate(order):
+            bit[v] = bits[pos]
+        code = 0
+        for e in edges:
+            mask = 0
+            for v in e:
+                mask |= bit[v]
+            code |= 1 << mask
+        if code > best:
+            best, tying = code, [order]
+        elif code == best:
+            tying.append(order)
+    form = []
+    while best > 0:
+        mask = best.bit_length() - 1
+        form.append(tuple(pos for pos in range(n) if mask & bits[pos]))
+        best ^= 1 << mask
+    label = [0] * n
+    for pos, v in enumerate(tying[0]):
+        label[v] = pos
+    return tuple(form), [tuple(label[v] for v in order) for order in tying]
 
 
 def _search_canonical(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, ...]], int]:
     """Level by level over isomorphism classes: each representative's component
     index, grown by ``join_edge`` over its edges from the empty graph, decides
-    its one-edge extensions, and a labeled extension that another
-    representative already formed in this level is not formed again."""
-    level: set[tuple[Edge, ...]] = {()}
+    its one-edge extensions.  Only the least edge of each orbit under the
+    representative's automorphisms is formed, and a labeled extension that
+    another representative already formed in this level is not formed again."""
+    # each form maps to its automorphisms; None is the empty graph's Sym(n),
+    # one orbit whose least edge is pool[0] = (0, ..., r - 1)
+    level: dict[tuple[Edge, ...], list | None] = {(): None}
     depth = 0
     explored = 0
     while True:
-        nxt: set[tuple[Edge, ...]] = set()
+        nxt: dict[tuple[Edge, ...], list] = {}
         formed: set[tuple[Edge, ...]] = set()
-        for rep in level:
+        for rep, auts in level.items():
             index = ({}, {})
             for f in rep:
                 index = join_edge(index, f, pis, grow=True)
@@ -167,11 +195,15 @@ def _search_canonical(n: int, r: int, pis, pool) -> tuple[int, list[tuple[Edge, 
                 if e in have:
                     continue
                 explored += 1
-                if join_edge(index, e, pis):
-                    cand = tuple(sorted(have | {e}))
-                    if cand not in formed:
-                        formed.add(cand)
-                        nxt.add(_canonical_form(n, cand))
+                if not join_edge(index, e, pis):
+                    continue
+                if e != pool[0] if auts is None else any(tuple(sorted(p[v] for v in e)) < e for p in auts):
+                    continue
+                cand = tuple(sorted(have | {e}))
+                if cand not in formed:
+                    formed.add(cand)
+                    form, cand_auts = _canonical_form(n, cand)
+                    nxt[form] = cand_auts
         if not nxt:
             return depth, sorted(level), explored
         level = nxt

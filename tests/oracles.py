@@ -409,6 +409,40 @@ def o_max_hom_free(n, r, residues):
     return best, tuple(sorted(tuple(sorted(w)) for w in winners))
 
 
+def o_vertex_invariants(n, edges):
+    """Iterated degree profile, refined until the partition stabilizes."""
+    inv = tuple(sum(v in e for e in edges) for v in range(n))
+    while True:
+        nxt = tuple(
+            (inv[v], tuple(sorted(tuple(sorted(inv[u] for u in e if u != v)) for e in edges if v in e)))
+        for v in range(n))
+        if len(set(nxt)) == len(set(inv)):
+            return inv
+        inv = nxt
+
+
+def o_canonical_form(n, edges):
+    """Least relabeling of the edge set over invariant-respecting bijections,
+    each image sorted as tuples of tuples and compared directly."""
+    inv = o_vertex_invariants(n, edges)
+    classes: dict = {}
+    for v in range(n):
+        classes.setdefault(inv[v], []).append(v)
+    ordered = [classes[key] for key in sorted(classes)]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in ordered)):
+        relabel = {}
+        pos = 0
+        for arrangement in parts:
+            for v in arrangement:
+                relabel[v] = pos
+                pos += 1
+        img = tuple(sorted(tuple(sorted(relabel[v] for v in e)) for e in edges))
+        if best is None or img < best:
+            best = img
+    return best
+
+
 # ---------------------------------------------------------------------------
 # tight walks through a waypoint triple family
 
